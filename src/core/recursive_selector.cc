@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 
 #include "audit/auditor.h"
 #include "common/check.h"
@@ -13,11 +12,8 @@
 #include "common/telemetry.h"
 #include "exec/shared_deadline.h"
 #include "exec/thread_pool.h"
-#include "obs/obs.h"
-
-#if defined(IDXSEL_KERNEL)
 #include "kernel/simd.h"
-#endif
+#include "obs/obs.h"
 
 namespace idxsel::core {
 namespace {
@@ -38,11 +34,9 @@ struct SelectorMetrics {
   obs::Counter* candidate_evals;
   obs::Counter* ratio_ties;
   obs::Histogram* run_latency;
-#if defined(IDXSEL_KERNEL)
   /// Queries rejected by the 64-bit mask full-cover filter before any
   /// per-query work — the kernel's "posting-list-filtered" volume.
   obs::Counter* kernel_filtered;
-#endif
 
   static const SelectorMetrics& Get() {
     static const SelectorMetrics metrics = [] {
@@ -59,10 +53,8 @@ struct SelectorMetrics {
       m.ratio_ties = registry.GetCounter("idxsel.selector.ratio_ties");
       m.run_latency =
           registry.GetHistogram("idxsel.selector.run_latency_ns");
-#if defined(IDXSEL_KERNEL)
       m.kernel_filtered =
           registry.GetCounter("idxsel.kernel.filtered_queries");
-#endif
       return m;
     }();
     return metrics;
@@ -70,26 +62,22 @@ struct SelectorMetrics {
 };
 #endif
 
+namespace kernel = idxsel::kernel;
+
 /// A candidate elementary move under evaluation.
 struct Move {
   StepKind kind = StepKind::kNewSingle;
   size_t selected_pos = 0;  ///< For appends: position in the selection.
-  Index after;              ///< Resulting index (kernel mode: filled lazily
-                            ///< by MaterializeMove for best/runner-up only).
-#if defined(IDXSEL_KERNEL)
-  /// Interned id of `after`. In a kernel-mode round every candidate carries
-  /// one (tie-breaks then compare tuples through the arena, no Index
-  /// needed); in legacy rounds none does.
+  /// Interned id of the resulting index. Every candidate carries one:
+  /// tie-breaks compare tuples through the arena, no Index needed.
   kernel::IndexId after_id = kernel::kInvalidIndexId;
-#endif
+  Index after;  ///< Resulting index; filled by MaterializeMove for the
+                ///< committed move and the traced runner-up only.
   double benefit = 0.0;     ///< (F+R) reduction; > 0 for eligible moves.
   double memory_delta = 0.0;
   double ratio = -std::numeric_limits<double>::infinity();
   bool valid = false;
 };
-
-#if defined(IDXSEL_KERNEL)
-namespace kernel = idxsel::kernel;
 
 /// Per-attribute scratch of one append-evaluation unit: benefit
 /// accumulator, interned extension id, and an epoch stamp that makes
@@ -134,7 +122,6 @@ struct AppendScratch {
     return scratch;
   }
 };
-#endif
 
 class Runner {
  public:
@@ -145,14 +132,6 @@ class Runner {
         poller_(opts.deadline),
         threads_(exec::ResolveThreads(opts.threads)) {
     if (threads_ > 1) pool_.emplace(threads_);
-#if defined(IDXSEL_KERNEL)
-    // Sampled once: a mid-run kernel::SetEnabled must not flip evaluation
-    // modes between rounds. Reconfiguration deltas need materialized
-    // indexes per candidate and Remark-2 evaluation re-costs whole
-    // configurations, so both run the legacy paths.
-    use_kernel_ = engine.DenseActive() && opts.reconfiguration == nullptr &&
-                  !opts.multi_index_eval;
-#endif
   }
 
   RecursiveResult Run() {
@@ -184,17 +163,13 @@ class Runner {
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
       freq_[j] = w_.query(j).frequency;
     }
-#if defined(IDXSEL_KERNEL)
-    if (use_kernel_) {
-      // Intern every single-attribute index up front: ids become
-      // deterministic, and the parallel single-ranking lanes never contend
-      // on the arena lock.
-      single_ids_.resize(w_.num_attributes());
-      for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
-        single_ids_[i] = engine_.arena().Intern(&i, 1);
-      }
+    // Intern every single-attribute index up front: ids become
+    // deterministic, and the parallel single-ranking lanes never contend
+    // on the arena lock.
+    single_ids_.resize(w_.num_attributes());
+    for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
+      single_ids_[i] = engine_.arena().Intern(&i, 1);
     }
-#endif
     objective_ = 0.0;
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
       best_cost_[j] = engine_.BaseCost(j);
@@ -214,12 +189,6 @@ class Runner {
       if (opts_.multi_index_eval) {
         EvaluateNewSinglesMulti(&best, &runner_up);
         EvaluateAppendsMulti(&best, &runner_up);
-#if defined(IDXSEL_KERNEL)
-      } else if (use_kernel_) {
-        EvaluateNewSinglesKernel(&best, &runner_up);
-        EvaluateAppendsKernel(&best, &runner_up);
-        if (opts_.pair_steps) EvaluatePairs(&best, &runner_up);
-#endif
       } else {
         EvaluateNewSingles(&best, &runner_up);
         EvaluateAppends(&best, &runner_up);
@@ -233,8 +202,8 @@ class Runner {
         stop_reason_ = best.valid ? "min-ratio" : "no-eligible-move";
         break;
       }
-      // Kernel-mode candidates travel as interned ids; the one committed
-      // (and the traced runner-up) are the only ones ever materialized.
+      // Candidates travel as interned ids; the one committed (and the
+      // traced runner-up) are the only ones ever materialized.
       MaterializeMove(&best);
       MaterializeMove(&runner_up);
       ++committed_rounds_;
@@ -320,10 +289,8 @@ class Runner {
     metrics.steps_swap->Add(swap_steps_);
     metrics.candidate_evals->Add(candidate_evals_);
     metrics.ratio_ties->Add(ratio_ties_);
-#if defined(IDXSEL_KERNEL)
     metrics.kernel_filtered->Add(
         kernel_filtered_.load(std::memory_order_relaxed));
-#endif
     if (obs::Enabled()) {
       metrics.run_latency->Record(
           static_cast<uint64_t>(result.runtime_seconds * 1e9));
@@ -339,8 +306,7 @@ class Runner {
   // through obs directly, and only at serial points — Consider() and the
   // commit block run single-threaded in both the serial and the parallel
   // evaluation paths, so the journal is byte-identical at any thread
-  // count, kernel on or off (kernel-mode moves carry bit-identical values
-  // and materialize to the same labels).
+  // count and SIMD dispatch level.
 
   /// Listed rejected moves per round; everything beyond is only counted.
   static constexpr size_t kJournalRejectCap = 32;
@@ -369,15 +335,12 @@ class Runner {
     }
   }
 
-  /// Canonical label of a move's resulting index; kernel-mode moves that
-  /// were never materialized resolve through the (const, stats-free)
-  /// arena lookup.
+  /// Canonical label of a move's resulting index; moves that were never
+  /// materialized resolve through the (const, stats-free) arena lookup.
   std::string MoveLabel(const Move& move) const {
-#if defined(IDXSEL_KERNEL)
-    if (move.after.empty() && move.after_id != kernel::kInvalidIndexId) {
+    if (move.after.empty()) {
       return engine_.MaterializeIndex(move.after_id).ToString();
     }
-#endif
     return move.after.ToString();
   }
 
@@ -525,14 +488,20 @@ class Runner {
     return opts_.existing != nullptr && opts_.existing->Contains(k);
   }
 
-  /// R-delta of adding `added` (and removing `removed` if non-empty).
-  double ReconfigDelta(const Index* removed, const Index& added) const {
+  /// R-delta of adding `added` in place of `removed` (kInvalidIndexId:
+  /// nothing replaced). 0 without a reconfiguration model; only with one
+  /// are the candidate indexes materialized.
+  double ReconfigDelta(kernel::IndexId removed, kernel::IndexId added) const {
     if (opts_.reconfiguration == nullptr) return 0.0;
     double delta = 0.0;
-    if (!InExisting(added)) delta += opts_.reconfiguration->CreateCost(added);
-    if (removed != nullptr) {
-      if (!InExisting(*removed)) {
-        delta -= opts_.reconfiguration->CreateCost(*removed);
+    const Index k_added = engine_.MaterializeIndex(added);
+    if (!InExisting(k_added)) {
+      delta += opts_.reconfiguration->CreateCost(k_added);
+    }
+    if (removed != kernel::kInvalidIndexId) {
+      const Index k_removed = engine_.MaterializeIndex(removed);
+      if (!InExisting(k_removed)) {
+        delta -= opts_.reconfiguration->CreateCost(k_removed);
       }
       // A replaced index that pre-exists must now be dropped; it enters
       // I-bar \ I. (Dropping costs are part of ReconfigurationParams.)
@@ -573,31 +542,6 @@ class Runner {
     }
   }
 
-  /// Recomputes best/second-best/owner for query j from scratch (base cost
-  /// plus every applicable selected index); O(|selection|) engine cache
-  /// hits. Used for queries affected by a replacement.
-  void RecomputeQuery(workload::QueryId j) {
-    const double old_best = best_cost_[j];
-    double b1 = engine_.BaseCost(j);
-    double b2 = std::numeric_limits<double>::infinity();
-    size_t owner = kNoOwner;
-    for (size_t p = 0; p < selected_.size(); ++p) {
-      if (!engine_.Applicable(j, selected_[p])) continue;
-      const double c = engine_.CostWithIndex(j, selected_[p]);
-      if (c < b1) {
-        b2 = b1;
-        b1 = c;
-        owner = p;
-      } else if (c < b2) {
-        b2 = c;
-      }
-    }
-    best_cost_[j] = b1;
-    second_cost_[j] = b2;
-    best_owner_[j] = owner;
-    objective_ += w_.query(j).frequency * (b1 - old_best);
-  }
-
   /// Cached per-attribute f_j({i}) cost arrays, SoA-aligned with the
   /// posting list w_.queries_with(i) (element s belongs to posting[s]);
   /// the engine is consulted once per pair, every later step reads the
@@ -608,22 +552,11 @@ class Runner {
       auto& list = single_costs_[i];
       const auto& posting = w_.queries_with(i);
       list.reserve(posting.size());
-#if defined(IDXSEL_KERNEL)
-      if (use_kernel_) {
-        // Same values, same engine accounting as the keyed loop below (the
-        // dense path falls back to it per slot); warming here also fills
-        // {i}'s dense row, which every later step reads hash-free.
-        const kernel::IndexId id = single_ids_[i];
-        for (uint32_t s = 0; s < posting.size(); ++s) {
-          list.push_back(
-              engine_.CostWithIndexDense(posting[s], id, s));
-        }
-        return list;
-      }
-#endif
-      const Index k(i);
-      for (workload::QueryId j : posting) {
-        list.push_back(engine_.CostWithIndex(j, k));
+      // Warming here also fills {i}'s dense row, which every later step
+      // reads hash-free.
+      const kernel::IndexId id = single_ids_[i];
+      for (uint32_t s = 0; s < posting.size(); ++s) {
+        list.push_back(engine_.CostWithIndexDense(posting[s], id, s));
       }
     }
     return single_costs_[i];
@@ -637,20 +570,12 @@ class Runner {
   }
 
   /// Strict "a beats b" order on candidate moves: ratio, then the
-  /// deterministic lexicographic tuple tie-break. Kernel-mode rounds
-  /// compare through the arena (every move carries an id, no Index value
-  /// exists yet); arena order and Index::operator< are both plain
-  /// lexicographic comparison of the attribute tuples, so the two modes
-  /// agree on every tie.
+  /// deterministic lexicographic tuple tie-break, compared through the
+  /// arena (arena order is plain lexicographic comparison of the tuples,
+  /// i.e. Index::operator<).
   bool MoveBetter(const Move& a, const Move& b) const {
     if (!ExactlyEqual(a.ratio, b.ratio)) return a.ratio > b.ratio;
-#if defined(IDXSEL_KERNEL)
-    if (a.after_id != kernel::kInvalidIndexId &&
-        b.after_id != kernel::kInvalidIndexId) {
-      return engine_.arena().Less(a.after_id, b.after_id);
-    }
-#endif
-    return a.after < b.after;
+    return engine_.arena().Less(a.after_id, b.after_id);
   }
 
   void Consider(Move move, Move* best, Move* runner_up) {
@@ -740,25 +665,13 @@ class Runner {
   }
 
   /// Benefit of creating single-attribute index {i} against the current
-  /// state: sum_j b_j max(0, best_cost_j - f_j({i})).
+  /// state: sum_j b_j max(0, best_cost_j - f_j({i})), vectorized with the
+  /// serial loop's summation order (kernel/simd.h).
   double SingleBenefit(workload::AttributeId i) {
     const std::vector<double>& costs = SingleCosts(i);
-    const auto& posting = w_.queries_with(i);
-#if defined(IDXSEL_KERNEL)
-    // Vectorized reduction; in default (non-relaxed) mode bit-identical
-    // to the serial loop below, so kernel-off runs may use it too.
-    return kernel::simd::ReduceBenefitIndexed(costs.data(), posting.data(),
-                                              best_cost_.data(), freq_.data(),
-                                              costs.size());
-#else
-    double benefit = 0.0;
-    for (size_t s = 0; s < costs.size(); ++s) {
-      const workload::QueryId j = posting[s];
-      const double gain = best_cost_[j] - costs[s];
-      if (gain > 0.0) benefit += freq_[j] * gain;
-    }
-    return benefit;
-#endif
+    return kernel::simd::ReduceBenefitIndexed(
+        costs.data(), w_.queries_with(i).data(), best_cost_.data(),
+        freq_.data(), costs.size());
   }
 
   /// Step 2's ranking of single-attribute indexes, reused for Remark 1(1).
@@ -805,83 +718,10 @@ class Runner {
     std::sort(eligible_singles_.begin(), eligible_singles_.end());
   }
 
+  /// Step (3a): one new single-attribute index per eligible attribute not
+  /// selected yet. Sizes and maintenance come from the dense id-addressed
+  /// tables; no Index is materialized.
   void EvaluateNewSingles(Move* best, Move* runner_up) {
-    EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
-          const workload::AttributeId i = eligible_singles_[u];
-          if (SingleSelected(i)) return;  // step (3a): I and {i} disjoint
-          const Index k(i);
-          Move move;
-          move.kind = StepKind::kNewSingle;
-          move.after = k;
-          move.benefit = SingleBenefit(i) - ReconfigDelta(nullptr, k) -
-                         engine_.MaintenancePenalty(k);
-          move.memory_delta = engine_.IndexMemory(k);
-          out.push_back(std::move(move));
-        },
-        best, runner_up);
-  }
-
-  void EvaluateAppends(Move* best, Move* runner_up) {
-    EvaluateUnits(
-        selected_.size(),
-        [&](size_t pos, std::vector<Move>& out) {
-          const Index& k = selected_[pos];
-          if (k.width() >= opts_.max_index_width) return;
-          const double base_mem = engine_.IndexMemory(k);
-
-          // Accumulate benefit deltas per extension attribute by iterating
-          // the queries that fully cover k — the only ones whose cost can
-          // change. The maps are unit-local, so their (deterministic)
-          // iteration order is identical in serial and parallel runs.
-          std::unordered_map<workload::AttributeId, double> benefit;
-          std::unordered_map<workload::AttributeId, Index> extended;
-          for (workload::QueryId j : w_.queries_with(k.leading())) {
-            const auto& q_attrs = w_.query(j).attributes;
-            if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
-            const double cost_without = CostWithout(j, pos);
-            for (workload::AttributeId a : q_attrs) {
-              if (k.Contains(a)) continue;
-              auto [it, inserted] = extended.try_emplace(a);
-              if (inserted) it->second = k.Append(a);
-              const double new_cost = std::min(
-                  cost_without, engine_.CostWithIndex(j, it->second));
-              benefit[a] +=
-                  w_.query(j).frequency * (best_cost_[j] - new_cost);
-            }
-          }
-          // Emit in ascending attribute order: emission order fixes the
-          // first-touch order of the size/maintenance caches (hence the
-          // backend call sequence) and the ratio-tie telemetry, and the
-          // kernel-mode evaluation emits in exactly this order.
-          std::vector<workload::AttributeId> order;
-          order.reserve(benefit.size());
-          // idxsel-lint: allow(unordered-iter) reason=key-collection only; the sort below restores deterministic order before any decision
-          for (const auto& [a, gain] : benefit) order.push_back(a);
-          std::sort(order.begin(), order.end());
-          for (workload::AttributeId a : order) {
-            const Index& k_ext = extended.at(a);
-            Move move;
-            move.kind = StepKind::kAppend;
-            move.selected_pos = pos;
-            move.after = k_ext;
-            move.benefit = benefit.at(a) - ReconfigDelta(&k, k_ext) -
-                           (engine_.MaintenancePenalty(k_ext) -
-                            engine_.MaintenancePenalty(k));
-            move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
-            out.push_back(std::move(move));
-          }
-        },
-        best, runner_up);
-  }
-
-#if defined(IDXSEL_KERNEL)
-  /// Kernel-mode step (3a): identical move set, values, and engine
-  /// accounting as EvaluateNewSingles (reconfiguration is never configured
-  /// here, so its delta — 0 — drops out), but sizes and maintenance come
-  /// from the dense id-addressed tables and no Index is materialized.
-  void EvaluateNewSinglesKernel(Move* best, Move* runner_up) {
     EvaluateUnits(
         eligible_singles_.size(),
         [&](size_t u, std::vector<Move>& out) {
@@ -891,36 +731,37 @@ class Runner {
           Move move;
           move.kind = StepKind::kNewSingle;
           move.after_id = id;
-          move.benefit =
-              SingleBenefit(i) - engine_.MaintenancePenaltyDense(id);
+          move.benefit = SingleBenefit(i) -
+                         ReconfigDelta(kernel::kInvalidIndexId, id) -
+                         engine_.MaintenancePenaltyDense(id);
           move.memory_delta = engine_.IndexMemoryDense(id);
           out.push_back(std::move(move));
         },
         best, runner_up);
   }
 
-  /// Kernel-mode step (3b), batched. Same move set, values, and engine
-  /// accounting as EvaluateAppends, restructured around the simd layer:
+  /// Step (3b), batched: for every selected k, the extensions k ⊕ a by
+  /// attributes a of queries fully covering k. Only those queries can
+  /// change cost, and each candidate's benefit sums them in ascending
+  /// query order:
   ///
   ///   1. the full-cover test (attrs(k) subset of q_j) streams 4 query
   ///      masks per step over the posting-order mirror
   ///      (simd::FilterMasks); lossy-mask hits are still confirmed on the
   ///      tuple;
-  ///   2. one discovery pass interns extensions in the legacy first-touch
-  ///      order and lays the affected (slot, query, cost-without) triples
-  ///      out as a per-candidate CSR, ascending slots per candidate —
-  ///      exactly the legacy per-candidate accumulation order;
+  ///   2. one discovery pass interns extensions in first-touch order and
+  ///      lays the affected (slot, query, cost-without) triples out as a
+  ///      per-candidate CSR, ascending slots per candidate;
   ///   3. when every candidate row is warm (the steady state: round r-1
   ///      filled them), each candidate is costed in one
   ///      CostWithIndexBatch pass over its dense row and reduced by
-  ///      simd::ReduceAppendBenefit — bit-identical benefits in default
-  ///      mode, identical bulk stats, zero backend interaction;
-  ///   4. ANY cold slot demotes the whole unit to the legacy query-outer
-  ///      loop, so backend calls (and rt::FaultInjectingBackend's PRNG
-  ///      stream) keep the exact historical order. Per-candidate
-  ///      fallback would regroup calls candidate-by-candidate — that is
-  ///      why the demotion is all-or-nothing per unit.
-  void EvaluateAppendsKernel(Move* best, Move* runner_up) {
+  ///      simd::ReduceAppendBenefit — zero backend interaction;
+  ///   4. ANY cold slot demotes the whole unit to the query-outer loop of
+  ///      per-call lookups, so backend calls (and
+  ///      rt::FaultInjectingBackend's PRNG stream) keep one fixed order.
+  ///      Per-candidate fallback would regroup calls candidate by
+  ///      candidate — that is why the demotion is all-or-nothing per unit.
+  void EvaluateAppends(Move* best, Move* runner_up) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     EvaluateUnits(
@@ -949,9 +790,8 @@ class Runner {
           }
 
           // (2) discovery: confirm lossy-mask hits, snapshot
-          // cost-without, intern extensions (first-touch order — id
-          // assignment identical to the legacy interleaved loop), count
-          // CSR entries.
+          // cost-without, intern extensions (first-touch order), count CSR
+          // entries.
           scratch.covered.clear();
           scratch.cov_qid.clear();
           scratch.cov_cw.clear();
@@ -1038,10 +878,10 @@ class Runner {
                     freq_.data(), cnt);
               }
             } else {
-              // (3b) whole-unit legacy order: query-outer,
-              // attribute-inner, per-call dense lookups. The extension
-              // keeps k's leading attribute, so it shares k's posting
-              // list and the covered slot is also its dense row slot.
+              // (3b) whole-unit query-outer, attribute-inner order of
+              // per-call dense lookups. The extension keeps k's leading
+              // attribute, so it shares k's posting list and the covered
+              // slot is also its dense row slot.
               for (size_t e = 0; e < scratch.covered.size(); ++e) {
                 const uint32_t s = scratch.covered[e];
                 const workload::QueryId j = scratch.cov_qid[e];
@@ -1065,7 +905,7 @@ class Runner {
             move.kind = StepKind::kAppend;
             move.selected_pos = pos;
             move.after_id = eid;
-            move.benefit = scratch.benefit[a] -
+            move.benefit = scratch.benefit[a] - ReconfigDelta(kid, eid) -
                            (engine_.MaintenancePenaltyDense(eid) -
                             engine_.MaintenancePenaltyDense(kid));
             move.memory_delta = engine_.IndexMemoryDense(eid) - base_mem;
@@ -1075,59 +915,54 @@ class Runner {
         best, runner_up);
   }
 
-  /// Fills `after` of a kernel-mode move; only the committed move and the
-  /// traced runner-up ever pay the materialization.
+  /// Fills `after` of a move; only the committed move and the traced
+  /// runner-up ever pay the materialization.
   void MaterializeMove(Move* move) {
-    if (move->valid && move->after_id != kernel::kInvalidIndexId &&
-        move->after.empty()) {
+    if (move->valid && move->after.empty()) {
       move->after = engine_.MaterializeIndex(move->after_id);
     }
   }
-#else
-  void MaterializeMove(Move*) {}
-#endif
 
-  /// Remark 1(4): evaluate two-attribute moves. New pairs are seeded from
-  /// the eligible singles; append pairs extend fully-covered indexes by two
-  /// co-occurring attributes at once.
+  /// Remark 1(4): evaluate two-attribute moves. New pairs {a, b} are
+  /// seeded from the eligible singles a and every attribute b co-occurring
+  /// with a; append pairs extend a selected k by two attributes of one
+  /// fully-covering query at once. A pair index applies to every query
+  /// holding its first new attribute — a query lacking the second runs on
+  /// the pair's prefix — so each benefit sums all of those queries, in
+  /// ascending order.
   void EvaluatePairs(Move* best, Move* runner_up) {
-    // New two-attribute indexes {a, b} for co-occurring (a, b).
     EvaluateUnits(
         eligible_singles_.size(),
         [&](size_t u, std::vector<Move>& out) {
           const workload::AttributeId a = eligible_singles_[u];
-          std::unordered_map<workload::AttributeId, double> benefit;
-          std::unordered_map<workload::AttributeId, Index> pair_index;
-          for (workload::QueryId j : w_.queries_with(a)) {
+          const auto& posting = w_.queries_with(a);
+          std::vector<workload::AttributeId> partners;
+          for (workload::QueryId j : posting) {
             for (workload::AttributeId b : w_.query(j).attributes) {
-              if (b == a) continue;
-              auto [it, inserted] = pair_index.try_emplace(b);
-              if (inserted) it->second = Index(a).Append(b);
-              const double new_cost = std::min(
-                  best_cost_[j], engine_.CostWithIndex(j, it->second));
-              benefit[b] +=
-                  w_.query(j).frequency * (best_cost_[j] - new_cost);
+              if (b != a) partners.push_back(b);
             }
           }
-          // Ascending emission: see EvaluateAppends.
-          std::vector<workload::AttributeId> order;
-          order.reserve(benefit.size());
-          // idxsel-lint: allow(unordered-iter) reason=key-collection only; the sort below restores deterministic order before any decision
-          for (const auto& [b, gain] : benefit) order.push_back(b);
-          std::sort(order.begin(), order.end());
-          for (workload::AttributeId b : order) {
-            const Index& k_pair = pair_index.at(b);
+          std::sort(partners.begin(), partners.end());
+          partners.erase(std::unique(partners.begin(), partners.end()),
+                         partners.end());
+          for (workload::AttributeId b : partners) {
+            const kernel::IndexId id =
+                engine_.arena().InternAppend(single_ids_[a], b);
+            // {a, b} leads with a: posting slot s is its dense row slot.
+            double benefit = 0.0;
+            for (uint32_t s = 0; s < posting.size(); ++s) {
+              const workload::QueryId j = posting[s];
+              const double new_cost = std::min(
+                  best_cost_[j], engine_.CostWithIndexDense(j, id, s));
+              benefit += freq_[j] * (best_cost_[j] - new_cost);
+            }
             Move move;
             move.kind = StepKind::kNewPair;
-            move.after = k_pair;
-#if defined(IDXSEL_KERNEL)
-            // Kernel-mode tie-breaks compare ids, so every candidate of a
-            // round must carry one.
-            if (use_kernel_) move.after_id = engine_.InternIndex(k_pair);
-#endif
-            move.benefit = benefit.at(b) - ReconfigDelta(nullptr, k_pair) -
-                           engine_.MaintenancePenalty(k_pair);
-            move.memory_delta = engine_.IndexMemory(k_pair);
+            move.after_id = id;
+            move.benefit = benefit -
+                           ReconfigDelta(kernel::kInvalidIndexId, id) -
+                           engine_.MaintenancePenaltyDense(id);
+            move.memory_delta = engine_.IndexMemoryDense(id);
             out.push_back(std::move(move));
           }
         },
@@ -1138,47 +973,48 @@ class Runner {
         selected_.size(),
         [&](size_t pos, std::vector<Move>& out) {
           const Index& k = selected_[pos];
+          const kernel::IndexId kid = selected_ids_[pos];
           if (k.width() + 2 > opts_.max_index_width) return;
-          const double base_mem = engine_.IndexMemory(k);
-          std::unordered_map<uint64_t, double> benefit;
-          std::unordered_map<uint64_t, Index> ext;
-          for (workload::QueryId j : w_.queries_with(k.leading())) {
-            const auto& q_attrs = w_.query(j).attributes;
+          const double base_mem = engine_.IndexMemoryDense(kid);
+          const auto& posting = w_.queries_with(k.leading());
+          std::vector<uint32_t> covered;
+          std::vector<std::pair<workload::AttributeId, workload::AttributeId>>
+              pairs;
+          for (uint32_t s = 0; s < posting.size(); ++s) {
+            const auto& q_attrs = w_.query(posting[s]).attributes;
             if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
-            const double cost_without = CostWithout(j, pos);
+            covered.push_back(s);
             for (workload::AttributeId a : q_attrs) {
               if (k.Contains(a)) continue;
               for (workload::AttributeId b : q_attrs) {
-                if (b == a || k.Contains(b)) continue;
-                const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-                auto [it, inserted] = ext.try_emplace(key);
-                if (inserted) it->second = k.Append(a).Append(b);
-                const double new_cost = std::min(
-                    cost_without, engine_.CostWithIndex(j, it->second));
-                benefit[key] +=
-                    w_.query(j).frequency * (best_cost_[j] - new_cost);
+                if (b != a && !k.Contains(b)) pairs.emplace_back(a, b);
               }
             }
           }
-          // Ascending (a, b) emission: see EvaluateAppends.
-          std::vector<uint64_t> order;
-          order.reserve(benefit.size());
-          // idxsel-lint: allow(unordered-iter) reason=key-collection only; the sort below restores deterministic order before any decision
-          for (const auto& [key, gain] : benefit) order.push_back(key);
-          std::sort(order.begin(), order.end());
-          for (uint64_t key : order) {
-            const Index& k_ext = ext.at(key);
+          std::sort(pairs.begin(), pairs.end());
+          pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+          for (const auto& [a, b] : pairs) {
+            const kernel::IndexId id = engine_.arena().InternAppend(
+                engine_.arena().InternAppend(kid, a), b);
+            double benefit = 0.0;
+            for (uint32_t s : covered) {
+              const workload::QueryId j = posting[s];
+              const auto& q_attrs = w_.query(j).attributes;
+              if (!std::binary_search(q_attrs.begin(), q_attrs.end(), a)) {
+                continue;
+              }
+              const double new_cost = std::min(
+                  CostWithout(j, pos), engine_.CostWithIndexDense(j, id, s));
+              benefit += freq_[j] * (best_cost_[j] - new_cost);
+            }
             Move move;
             move.kind = StepKind::kAppendPair;
             move.selected_pos = pos;
-            move.after = k_ext;
-#if defined(IDXSEL_KERNEL)
-            if (use_kernel_) move.after_id = engine_.InternIndex(k_ext);
-#endif
-            move.benefit = benefit.at(key) - ReconfigDelta(&k, k_ext) -
-                           (engine_.MaintenancePenalty(k_ext) -
-                            engine_.MaintenancePenalty(k));
-            move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
+            move.after_id = id;
+            move.benefit = benefit - ReconfigDelta(kid, id) -
+                           (engine_.MaintenancePenaltyDense(id) -
+                            engine_.MaintenancePenaltyDense(kid));
+            move.memory_delta = engine_.IndexMemoryDense(id) - base_mem;
             out.push_back(std::move(move));
           }
         },
@@ -1186,6 +1022,10 @@ class Runner {
   }
 
   // -- Remark-2 (multi-index) evaluation --------------------------------------
+  //
+  // A different cost model, not a twin of the evaluators above: query
+  // costs depend on the whole configuration, so every candidate re-costs
+  // its affected queries through WhatIfEngine::CostWithConfig.
 
   costmodel::IndexConfig CurrentConfig() const {
     costmodel::IndexConfig config;
@@ -1201,6 +1041,7 @@ class Runner {
           const workload::AttributeId i = eligible_singles_[u];
           if (SingleSelected(i)) return;
           const Index k(i);
+          const kernel::IndexId id = single_ids_[i];
           costmodel::IndexConfig hypothetical = current;
           hypothetical.Insert(k);
           double benefit = 0.0;
@@ -1211,8 +1052,10 @@ class Runner {
           }
           Move move;
           move.kind = StepKind::kNewSingle;
+          move.after_id = id;
           move.after = k;
-          move.benefit = benefit - ReconfigDelta(nullptr, k) -
+          move.benefit = benefit -
+                         ReconfigDelta(kernel::kInvalidIndexId, id) -
                          engine_.MaintenancePenalty(k);
           move.memory_delta = engine_.IndexMemory(k);
           out.push_back(std::move(move));
@@ -1226,6 +1069,7 @@ class Runner {
         selected_.size(),
         [&](size_t pos, std::vector<Move>& out) {
           const Index& k = selected_[pos];
+          const kernel::IndexId kid = selected_ids_[pos];
           if (k.width() >= opts_.max_index_width) return;
           const double base_mem = engine_.IndexMemory(k);
 
@@ -1246,6 +1090,7 @@ class Runner {
 
           for (workload::AttributeId a : extensions) {
             const Index k_ext = k.Append(a);
+            const kernel::IndexId eid = engine_.arena().InternAppend(kid, a);
             costmodel::IndexConfig hypothetical = current;
             hypothetical.Erase(k);
             hypothetical.Insert(k_ext);
@@ -1263,8 +1108,9 @@ class Runner {
             Move move;
             move.kind = StepKind::kAppend;
             move.selected_pos = pos;
+            move.after_id = eid;
             move.after = k_ext;
-            move.benefit = benefit - ReconfigDelta(&k, k_ext) -
+            move.benefit = benefit - ReconfigDelta(kid, eid) -
                            (engine_.MaintenancePenalty(k_ext) -
                             engine_.MaintenancePenalty(k));
             move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
@@ -1282,9 +1128,11 @@ class Runner {
     }
     if (move.kind == StepKind::kNewSingle || move.kind == StepKind::kNewPair) {
       selected_.push_back(move.after);
+      selected_ids_.push_back(move.after_id);
     } else {
       replaced_ = selected_[move.selected_pos];
       selected_[move.selected_pos] = move.after;
+      selected_ids_[move.selected_pos] = move.after_id;
     }
     used_memory_ += move.memory_delta;
     // Refresh the costs of every query the new configuration could touch
@@ -1297,64 +1145,33 @@ class Runner {
     }
   }
 
-  // -- Committing ------------------------------------------------------------
-
-  void Commit(const Move& move) {
-#if defined(IDXSEL_KERNEL)
-    if (use_kernel_) {
-      CommitKernel(move);
-      return;
-    }
-#endif
-    replaced_ = Index();
-    // Maintenance penalties are part of the tracked objective.
-    objective_ += engine_.MaintenancePenalty(move.after);
-    if (move.kind == StepKind::kAppend || move.kind == StepKind::kAppendPair) {
-      objective_ -= engine_.MaintenancePenalty(selected_[move.selected_pos]);
-    }
-    if (move.kind == StepKind::kNewSingle || move.kind == StepKind::kNewPair) {
-      const size_t pos = selected_.size();
-      selected_.push_back(move.after);
-      for (workload::QueryId j : w_.queries_with(move.after.leading())) {
-        InsertCost(j, pos, engine_.CostWithIndex(j, move.after));
+  /// Remark-2 usage: selected position p is used iff removing it raises
+  /// some query's CostWithConfig. Only queries of its leading attribute's
+  /// posting list can use it.
+  bool UsedMulti(size_t p) const {
+    const costmodel::IndexConfig config = CurrentConfig();
+    costmodel::IndexConfig without = config;
+    without.Erase(selected_[p]);
+    for (workload::QueryId j : w_.queries_with(selected_[p].leading())) {
+      if (engine_.CostWithConfig(j, without) >
+          engine_.CostWithConfig(j, config)) {
+        return true;
       }
-    } else {
-      replaced_ = selected_[move.selected_pos];
-      // Only queries that fully cover the old index *and* constrain the
-      // first appended attribute can change cost; everything else keeps
-      // f_j(k_new) == f_j(k_old) (cost-model invariant), so consulting the
-      // engine for them would waste what-if calls.
-      const workload::AttributeId first_appended =
-          move.after.attribute(replaced_.width());
-      affected_scratch_.clear();
-      for (workload::QueryId j : w_.queries_with(replaced_.leading())) {
-        const auto& q_attrs = w_.query(j).attributes;
-        if (!std::binary_search(q_attrs.begin(), q_attrs.end(),
-                                first_appended)) {
-          continue;
-        }
-        if (replaced_.CoverablePrefixLength(q_attrs) != replaced_.width()) {
-          continue;
-        }
-        affected_scratch_.push_back(j);
-      }
-      selected_[move.selected_pos] = move.after;
-      for (workload::QueryId j : affected_scratch_) RecomputeQuery(j);
     }
-    used_memory_ += move.memory_delta;
+    return false;
   }
 
-#if defined(IDXSEL_KERNEL)
-  /// Kernel-mode Commit: the same mutations and engine accounting as the
-  /// legacy branch above, addressed by interned ids; an append finishes by
-  /// letting the morphed index inherit the replaced index's dense cost row
-  /// (delta costing — only re-estimated slots were written before this).
-  void CommitKernel(const Move& move) {
+  // -- Committing ------------------------------------------------------------
+
+  /// Commits `move`; an append finishes by letting the morphed index
+  /// inherit the replaced index's dense cost row (delta costing — only
+  /// re-estimated slots were written before this).
+  void Commit(const Move& move) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
-    IDXSEL_DCHECK(move.after_id != kernel::kInvalidIndexId);
     IDXSEL_DCHECK(!move.after.empty());  // MaterializeMove ran
     replaced_ = Index();
+    // Maintenance penalties are part of the tracked objective.
     objective_ += engine_.MaintenancePenaltyDense(move.after_id);
     if (move.kind == StepKind::kAppend ||
         move.kind == StepKind::kAppendPair) {
@@ -1380,10 +1197,12 @@ class Runner {
           arena.attrs(move.after_id)[rwidth];
       const uint64_t abit = kernel::AttrBit(first_appended);
       affected_scratch_.clear();
-      // Affected = constrains the first appended attribute AND fully
-      // covers the replaced index — one combined mask subset test, 4
-      // masks per step over the posting-order mirror, with tuple
-      // confirmation only when masks are lossy.
+      // Only queries that fully cover the old index *and* constrain the
+      // first appended attribute can change cost; everything else keeps
+      // f_j(k_new) == f_j(k_old) (cost-model invariant), so consulting the
+      // engine for them would waste what-if calls. One combined mask
+      // subset test, 4 masks per step over the posting-order mirror, with
+      // tuple confirmation only when masks are lossy.
       const workload::AttributeId rlead = arena.leading(replaced_id);
       const auto& posting = w_.queries_with(rlead);
       if (commit_kept_.size() < posting.size()) {
@@ -1411,7 +1230,7 @@ class Runner {
       }
       selected_[move.selected_pos] = move.after;
       selected_ids_[move.selected_pos] = move.after_id;
-      for (workload::QueryId j : affected_scratch_) RecomputeQueryKernel(j);
+      for (workload::QueryId j : affected_scratch_) RecomputeQuery(j);
       // Every query not re-estimated above keeps f_j(k ⊕ a) == f_j(k)
       // (cost-model invariant), so the new row inherits the old one.
       engine_.InheritCostRow(replaced_id, move.after_id);
@@ -1422,7 +1241,7 @@ class Runner {
   /// Applicable() on ids: a clear leading bit is a definitive reject; an
   /// exact-mask hit is definitive too (queries only constrain attributes
   /// of their own table, so leading membership implies same-table).
-  bool ApplicableKernel(workload::QueryId j, kernel::IndexId id) const {
+  bool Applicable(workload::QueryId j, kernel::IndexId id) const {
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     const workload::AttributeId lead = engine_.arena().leading(id);
     if (qmasks.DefinitelyAbsent(j, lead)) return false;
@@ -1431,15 +1250,16 @@ class Runner {
     return std::binary_search(q_attrs.begin(), q_attrs.end(), lead);
   }
 
-  /// RecomputeQuery through the dense tables — identical values and
-  /// engine accounting (the dense misses fall back to the keyed path).
-  void RecomputeQueryKernel(workload::QueryId j) {
+  /// Recomputes best/second-best/owner for query j from scratch (base cost
+  /// plus every applicable selected index); O(|selection|) dense lookups.
+  /// Used for queries affected by a replacement.
+  void RecomputeQuery(workload::QueryId j) {
     const double old_best = best_cost_[j];
     double b1 = engine_.BaseCost(j);
     double b2 = std::numeric_limits<double>::infinity();
     size_t owner = kNoOwner;
     for (size_t p = 0; p < selected_.size(); ++p) {
-      if (!ApplicableKernel(j, selected_ids_[p])) continue;
+      if (!Applicable(j, selected_ids_[p])) continue;
       const double c = engine_.CostWithIndexDenseSlow(j, selected_ids_[p]);
       if (c < b1) {
         b2 = b1;
@@ -1454,7 +1274,6 @@ class Runner {
     best_owner_[j] = owner;
     objective_ += w_.query(j).frequency * (b1 - old_best);
   }
-#endif
 
   /// Rebuilds every per-query and objective bookkeeping from selected_.
   void RebuildState() {
@@ -1467,11 +1286,13 @@ class Runner {
       objective_ += w_.query(j).frequency * best_cost_[j];
     }
     for (size_t p = 0; p < selected_.size(); ++p) {
-      for (workload::QueryId j : w_.queries_with(selected_[p].leading())) {
-        InsertCost(j, p, engine_.CostWithIndex(j, selected_[p]));
+      const kernel::IndexId id = selected_ids_[p];
+      const auto& posting = w_.queries_with(engine_.arena().leading(id));
+      for (uint32_t s = 0; s < posting.size(); ++s) {
+        InsertCost(posting[s], p, engine_.CostWithIndexDense(posting[s], id, s));
       }
-      objective_ += engine_.MaintenancePenalty(selected_[p]);
-      used_memory_ += engine_.IndexMemory(selected_[p]);
+      objective_ += engine_.MaintenancePenaltyDense(id);
+      used_memory_ += engine_.IndexMemoryDense(id);
     }
   }
 
@@ -1543,16 +1364,10 @@ class Runner {
         }
         selected_.assign(hypothetical.indexes().begin(),
                          hypothetical.indexes().end());
-#if defined(IDXSEL_KERNEL)
-        if (use_kernel_) {
-          // Keep the id view aligned; later prune/recompute rounds (and
-          // the next repair iteration's bookkeeping) read it.
-          selected_ids_.clear();
-          for (const Index& kept : selected_) {
-            selected_ids_.push_back(engine_.InternIndex(kept));
-          }
+        selected_ids_.clear();
+        for (const Index& kept : selected_) {
+          selected_ids_.push_back(engine_.InternIndex(kept));
         }
-#endif
         RebuildState();
         step.objective_after = objective_;
         step.memory_delta = 0.0;  // net change is below the budget anyway
@@ -1570,16 +1385,21 @@ class Runner {
     }
   }
 
-  /// Remark 1(2): drops selected indexes that are no query's current best —
-  /// F is unchanged and the freed memory allows more steps.
+  /// Remark 1(2): drops selected indexes no query uses — F is unchanged
+  /// and the freed memory allows more steps. One-index evaluation: unused
+  /// means no query's current best. Remark-2 evaluation: unused means
+  /// removing it raises no query's cost, checked against the selection
+  /// left after the drops so far.
   void PruneUnused(RecursiveResult* result) {
     std::vector<char> used(selected_.size(), 0);
-    for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
-      if (best_owner_[j] != kNoOwner) used[best_owner_[j]] = 1;
+    if (!opts_.multi_index_eval) {
+      for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
+        if (best_owner_[j] != kNoOwner) used[best_owner_[j]] = 1;
+      }
     }
     bool any_dropped = false;
     for (size_t p = selected_.size(); p-- > 0;) {
-      if (used[p]) continue;
+      if (opts_.multi_index_eval ? UsedMulti(p) : used[p] != 0) continue;
       any_dropped = true;
       ConstructionStep step;
       step.kind = StepKind::kPrune;
@@ -1597,21 +1417,12 @@ class Runner {
                         step.objective_after, step.memory_delta);
       }
       selected_.erase(selected_.begin() + static_cast<long>(p));
-#if defined(IDXSEL_KERNEL)
-      if (use_kernel_) {
-        selected_ids_.erase(selected_ids_.begin() + static_cast<long>(p));
-      }
-#endif
+      selected_ids_.erase(selected_ids_.begin() + static_cast<long>(p));
     }
-    if (any_dropped) {
-      // Positions shifted: rebuild the per-query owner bookkeeping.
+    // Positions shifted: rebuild the per-query owner bookkeeping (Remark-2
+    // runs keep no owners, and their costs did not change).
+    if (any_dropped && !opts_.multi_index_eval) {
       for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
-#if defined(IDXSEL_KERNEL)
-        if (use_kernel_) {
-          RecomputeQueryKernel(j);
-          continue;
-        }
-#endif
         RecomputeQuery(j);
       }
     }
@@ -1639,9 +1450,7 @@ class Runner {
   std::vector<double> second_cost_;
   std::vector<size_t> best_owner_;
   std::vector<workload::AttributeId> eligible_singles_;
-#if defined(IDXSEL_KERNEL)
-  std::vector<uint32_t> commit_kept_;  ///< CommitKernel filter scratch
-#endif
+  std::vector<uint32_t> commit_kept_;  ///< Commit filter scratch
   std::vector<std::vector<double>> single_costs_;  ///< posting-order SoA
   std::vector<char> single_costs_ready_;
   /// b_j per query, flat — the gather table of the simd reductions
@@ -1652,15 +1461,12 @@ class Runner {
   // their capacity instead of reallocating per round.
   std::vector<Move> serial_moves_;
   std::vector<std::vector<Move>> unit_buffers_;
-#if defined(IDXSEL_KERNEL)
-  bool use_kernel_ = false;
   std::vector<kernel::IndexId> selected_ids_;  ///< Parallel to selected_.
   std::vector<kernel::IndexId> single_ids_;    ///< Per attribute: id of {i}.
   /// Mask-filtered query count; atomic because parallel evaluation units
   /// flush their per-unit tallies concurrently. Published to
   /// idxsel.kernel.filtered_queries in the end-of-run batch.
   std::atomic<uint64_t> kernel_filtered_{0};
-#endif
   double objective_ = 0.0;
   double used_memory_ = 0.0;
   Index replaced_;

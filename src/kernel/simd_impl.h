@@ -23,7 +23,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #if IDXSEL_SIMD_IMPL_AVX2
 #include <immintrin.h>
@@ -42,7 +41,6 @@ struct Vec {
   __m256d v;
 
   static Vec Load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static Vec Broadcast(double x) { return {_mm256_set1_pd(x)}; }
   static Vec Gather(const double* base, const uint32_t* idx) {
     const __m128i vindex =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
@@ -57,11 +55,6 @@ struct Vec {
     const __m256d keep =
         _mm256_cmp_pd(gain.v, _mm256_setzero_pd(), _CMP_GT_OQ);
     return {_mm256_and_pd(keep, term.v)};
-  }
-  /// x where x is ordered (non-NaN), else `fill`.
-  static Vec FillNaN(Vec x, Vec fill) {
-    const __m256d unord = _mm256_cmp_pd(x.v, x.v, _CMP_UNORD_Q);
-    return {_mm256_blendv_pd(x.v, fill.v, unord)};
   }
   static bool AnyNaN(Vec x) {
     return _mm256_movemask_pd(_mm256_cmp_pd(x.v, x.v, _CMP_UNORD_Q)) != 0;
@@ -78,18 +71,6 @@ struct Vec {
     acc += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
     return acc;
   }
-  /// In-order horizontal min fold with MINPD step semantics.
-  static double FoldMin(double acc, Vec x) {
-    alignas(32) double lane[kLanes];
-    _mm256_store_pd(lane, x.v);
-    for (size_t t = 0; t < kLanes; ++t) {
-      acc = acc < lane[t] ? acc : lane[t];
-    }
-    return acc;
-  }
-  static double ReduceAdd(Vec x) { return FoldAdd(0.0, x); }
-  static Vec Add(Vec a, Vec b) { return {_mm256_add_pd(a.v, b.v)}; }
-  static Vec Zero() { return {_mm256_setzero_pd()}; }
 };
 
 /// Keep bits (bit t set iff (required & ~masks[t]) == 0) for one 4-mask
@@ -113,11 +94,6 @@ struct Vec {
   static Vec Load(const double* p) {
     Vec r;
     for (size_t t = 0; t < kLanes; ++t) r.v[t] = p[t];
-    return r;
-  }
-  static Vec Broadcast(double x) {
-    Vec r;
-    for (size_t t = 0; t < kLanes; ++t) r.v[t] = x;
     return r;
   }
   static Vec Gather(const double* base, const uint32_t* idx) {
@@ -149,13 +125,6 @@ struct Vec {
     }
     return r;
   }
-  static Vec FillNaN(Vec x, Vec fill) {
-    Vec r;
-    for (size_t t = 0; t < kLanes; ++t) {
-      r.v[t] = std::isnan(x.v[t]) ? fill.v[t] : x.v[t];
-    }
-    return r;
-  }
   static bool AnyNaN(Vec x) {
     bool any = false;
     for (size_t t = 0; t < kLanes; ++t) any = any || std::isnan(x.v[t]);
@@ -168,19 +137,6 @@ struct Vec {
     for (size_t t = 0; t < kLanes; ++t) acc += x.v[t];
     return acc;
   }
-  static double FoldMin(double acc, Vec x) {
-    for (size_t t = 0; t < kLanes; ++t) {
-      acc = acc < x.v[t] ? acc : x.v[t];
-    }
-    return acc;
-  }
-  static double ReduceAdd(Vec x) { return FoldAdd(0.0, x); }
-  static Vec Add(Vec a, Vec b) {
-    Vec r;
-    for (size_t t = 0; t < kLanes; ++t) r.v[t] = a.v[t] + b.v[t];
-    return r;
-  }
-  static Vec Zero() { return Broadcast(0.0); }
 };
 
 inline uint32_t KeepBits4(const uint64_t* masks, uint64_t required) {
@@ -197,35 +153,21 @@ inline uint32_t KeepBits4(const uint64_t* masks, uint64_t required) {
 // -- Shared algorithm bodies ------------------------------------------------
 
 double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
-                            const double* best, const double* freq, size_t n,
-                            bool relaxed) {
+                            const double* best, const double* freq,
+                            size_t n) {
   const size_t blocks = n / kLanes;
+  // Vector math, serial-order fold — bit-identical to the plain loop (the
+  // +0.0 of an excluded lane is an addition identity here: retained terms
+  // are non-negative finite, so acc never holds -0.0 after a retained
+  // add, and +0.0 + +0.0 == +0.0).
   double acc = 0.0;
-  if (relaxed) {
-    // Reassociated: one independent accumulator per lane, folded once.
-    Vec vacc = Vec::Zero();
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec gain =
-          Vec::Sub(Vec::Gather(best, qids + t), Vec::Load(costs + t));
-      const Vec term =
-          Vec::KeepIfGtZero(gain, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-      vacc = Vec::Add(vacc, term);
-    }
-    acc = Vec::ReduceAdd(vacc);
-  } else {
-    // Exact: vector math, serial-order fold — bit-identical to the plain
-    // loop (the +0.0 of an excluded lane is an addition identity here:
-    // retained terms are non-negative finite, so acc never holds -0.0
-    // after a retained add, and +0.0 + +0.0 == +0.0).
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec gain =
-          Vec::Sub(Vec::Gather(best, qids + t), Vec::Load(costs + t));
-      const Vec term =
-          Vec::KeepIfGtZero(gain, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-      acc = Vec::FoldAdd(acc, term);
-    }
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t t = b * kLanes;
+    const Vec gain =
+        Vec::Sub(Vec::Gather(best, qids + t), Vec::Load(costs + t));
+    const Vec term =
+        Vec::KeepIfGtZero(gain, Vec::Mul(Vec::Gather(freq, qids + t), gain));
+    acc = Vec::FoldAdd(acc, term);
   }
   for (size_t t = blocks * kLanes; t < n; ++t) {
     const double gain = best[qids[t]] - costs[t];
@@ -236,65 +178,18 @@ double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
 
 double ReduceAppendBenefit(const double* costs, const double* cw,
                            const uint32_t* qids, const double* best,
-                           const double* freq, size_t n, bool relaxed) {
+                           const double* freq, size_t n) {
   const size_t blocks = n / kLanes;
   double acc = 0.0;
-  if (relaxed) {
-    Vec vacc = Vec::Zero();
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec new_cost = Vec::Min(Vec::Load(cw + t), Vec::Load(costs + t));
-      const Vec gain = Vec::Sub(Vec::Gather(best, qids + t), new_cost);
-      vacc = Vec::Add(vacc, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-    }
-    acc = Vec::ReduceAdd(vacc);
-  } else {
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec new_cost = Vec::Min(Vec::Load(cw + t), Vec::Load(costs + t));
-      const Vec gain = Vec::Sub(Vec::Gather(best, qids + t), new_cost);
-      acc = Vec::FoldAdd(acc, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-    }
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t t = b * kLanes;
+    const Vec new_cost = Vec::Min(Vec::Load(cw + t), Vec::Load(costs + t));
+    const Vec gain = Vec::Sub(Vec::Gather(best, qids + t), new_cost);
+    acc = Vec::FoldAdd(acc, Vec::Mul(Vec::Gather(freq, qids + t), gain));
   }
   for (size_t t = blocks * kLanes; t < n; ++t) {
     const double new_cost = cw[t] < costs[t] ? cw[t] : costs[t];
     acc += freq[qids[t]] * (best[qids[t]] - new_cost);
-  }
-  return acc;
-}
-
-double SumSetSlots(const double* row, size_t n, bool relaxed) {
-  const size_t blocks = n / kLanes;
-  const Vec zero = Vec::Zero();
-  double acc = 0.0;
-  if (relaxed) {
-    Vec vacc = Vec::Zero();
-    for (size_t b = 0; b < blocks; ++b) {
-      vacc = Vec::Add(vacc, Vec::FillNaN(Vec::Load(row + b * kLanes), zero));
-    }
-    acc = Vec::ReduceAdd(vacc);
-  } else {
-    for (size_t b = 0; b < blocks; ++b) {
-      acc = Vec::FoldAdd(acc, Vec::FillNaN(Vec::Load(row + b * kLanes), zero));
-    }
-  }
-  for (size_t t = blocks * kLanes; t < n; ++t) {
-    acc += std::isnan(row[t]) ? 0.0 : row[t];
-  }
-  return acc;
-}
-
-double MinSetSlots(const double* row, size_t n) {
-  const size_t blocks = n / kLanes;
-  const Vec inf = Vec::Broadcast(std::numeric_limits<double>::infinity());
-  double acc = std::numeric_limits<double>::infinity();
-  for (size_t b = 0; b < blocks; ++b) {
-    acc = Vec::FoldMin(acc, Vec::FillNaN(Vec::Load(row + b * kLanes), inf));
-  }
-  for (size_t t = blocks * kLanes; t < n; ++t) {
-    const double v = std::isnan(row[t]) ? std::numeric_limits<double>::infinity()
-                                        : row[t];
-    acc = acc < v ? acc : v;
   }
   return acc;
 }

@@ -287,6 +287,29 @@ TEST(RecursiveTest, MultiIndexEvalNotWorseThanOneIndexEvaluation) {
             s.engine->WorkloadCost(multi.selection) * (1.0 + 1e-9));
 }
 
+TEST(RecursiveTest, MultiIndexEvalPruneDropsOnlyUnusedIndexes) {
+  // Remark-2 runs keep no per-query owners, so "unused" means removing
+  // the index raises no query's CostWithConfig. Every prune must leave F
+  // unchanged apart from the freed maintenance, and the run must end on
+  // its own (no step cap) on a selection the multi-index cost confirms.
+  TestEnv s(40, 10);
+  RecursiveOptions options = s.Options(0.3);
+  options.multi_index_eval = true;
+  options.prune_unused = true;
+  const RecursiveResult r = SelectRecursive(*s.engine, options);
+  EXPECT_TRUE(r.status.ok());
+  EXPECT_FALSE(r.selection.empty());
+  for (const ConstructionStep& step : r.trace) {
+    if (step.kind != StepKind::kPrune) continue;
+    EXPECT_NEAR(step.objective_after,
+                step.objective_before -
+                    s.engine->MaintenancePenalty(step.before),
+                step.objective_before * 1e-9);
+  }
+  EXPECT_NEAR(r.objective, s.engine->WorkloadCostMultiIndex(r.selection),
+              r.objective * 1e-9);
+}
+
 TEST(RecursiveTest, DeterministicAcrossRuns) {
   TestEnv s;
   const RecursiveResult r1 = SelectRecursive(*s.engine, s.Options(0.3));

@@ -4,8 +4,8 @@
 // incremental re-selection (fewer what-if calls than a cold run), and the
 // chaos soak — kill the service at every commit-protocol point, restart,
 // and require the recovered state, epoch journal, and checkpoint to be
-// byte-identical to a run that never crashed, at threads {1,4} x kernel
-// {on,off}. Companion to doc/serve.md.
+// byte-identical to a run that never crashed, at threads {1,4} x SIMD
+// dispatch {native, forced scalar}. Companion to doc/serve.md.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "costmodel/cost_model.h"
-#include "kernel/kernel.h"
+#include "kernel/simd.h"
 #include "rt/fault_injection.h"
 #include "serve/backoff.h"
 #include "serve/checkpoint.h"
@@ -981,12 +981,12 @@ class ChaosSoakTest
 
 TEST_P(ChaosSoakTest, KillAndRecoverIsByteIdenticalToFaultFreeRun) {
   const size_t threads = std::get<0>(GetParam());
-  const bool kernel_on = std::get<1>(GetParam());
-  kernel::ScopedKernelEnabled scoped(kernel_on);
+  const bool force_scalar = std::get<1>(GetParam());
+  const kernel::simd::ScopedForceScalar pin(force_scalar);
   auto base = BaseWorkload();
 
   const std::string tag = std::to_string(threads) +
-                          (kernel_on ? "k1" : "k0");
+                          (force_scalar ? "s1" : "s0");
   const SoakResult clean =
       RunSoak(base, FreshDir("soak_clean_" + tag), {}, threads);
   ASSERT_GT(clean.epoch, 0u);
@@ -1028,7 +1028,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& param_info) {
       return "Threads" + std::to_string(std::get<0>(param_info.param)) +
-             (std::get<1>(param_info.param) ? "KernelOn" : "KernelOff");
+             (std::get<1>(param_info.param) ? "Scalar" : "Native");
     });
 
 // ------------------------------------------------------ Workload updates

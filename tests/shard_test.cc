@@ -7,8 +7,8 @@
 //     frontier, objective, memory, and selector-level what-if call count —
 //     at every shard count and thread count (compression off).
 //   * Advisor-level determinism matrix: shards {1,4,16} x threads {1,4} x
-//     kernel {on,off} produce byte-identical recommendations and journal
-//     sidecars.
+//     SIMD dispatch {native, forced scalar} produce byte-identical
+//     recommendations and journal sidecars.
 //   * Chaos: one shard with a garbage-returning backend degrades the
 //     result flag, never the budget feasibility.
 
@@ -24,7 +24,7 @@
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/what_if.h"
-#include "kernel/kernel.h"
+#include "kernel/simd.h"
 #include "obs/journal.h"
 #include "rt/fault_injection.h"
 #include "shard/partition.h"
@@ -423,7 +423,7 @@ TEST(ShardedSelectorTest, SessionReuseAfterMarkDirtyStaysExact) {
 // Advisor-level determinism matrix.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedDeterminismTest, MatrixShardsThreadsKernelByteIdentical) {
+TEST(ShardedDeterminismTest, MatrixShardsThreadsDispatchByteIdentical) {
   Env env;
   obs::SetJournalEnabled(true);
   obs::Journal::Default().Clear();
@@ -433,8 +433,8 @@ TEST(ShardedDeterminismTest, MatrixShardsThreadsKernelByteIdentical) {
   std::string ref_journal;
   for (size_t shards : {1u, 4u, 16u}) {
     for (size_t threads : {1u, 4u}) {
-      for (bool kernel_on : {true, false}) {
-        kernel::ScopedKernelEnabled kernel(kernel_on);
+      for (bool force_scalar : {false, true}) {
+        const kernel::simd::ScopedForceScalar pin(force_scalar);
         AdvisorOptions options;
         options.strategy = StrategyKind::kRecursive;
         options.shards = shards;
@@ -446,8 +446,12 @@ TEST(ShardedDeterminismTest, MatrixShardsThreadsKernelByteIdentical) {
         const std::string journal = obs::JournalToJsonl(got->journal);
         const std::string tag = "shards=" + std::to_string(shards) +
                                 " threads=" + std::to_string(threads) +
-                                " kernel=" + (kernel_on ? "on" : "off");
+                                " scalar=" + (force_scalar ? "1" : "0");
+#if defined(IDXSEL_OBS)
         EXPECT_FALSE(journal.empty()) << tag;
+#else
+        EXPECT_TRUE(journal.empty()) << tag;  // obs-off builds journal nothing
+#endif
         if (!have_ref) {
           have_ref = true;
           ref = *got;
