@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "engine/btree_index.h"
 #include "engine/column_store.h"
 #include "engine/composite_index.h"
 #include "engine/executor.h"
@@ -81,41 +80,6 @@ void BM_MultiAttributeProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiAttributeProbe);
-
-// Physical-representation shoot-out: sorted row-id permutation
-// (column-indirect comparisons) vs bulk-loaded B+-tree (materialized keys).
-
-void BM_BTreeProbe(benchmark::State& state) {
-  const uint32_t column = static_cast<uint32_t>(state.range(0));
-  Executor executor = SharedExecutor();
-  const BTreeIndex index(&SharedTable(), {column});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        executor.WithIndex({{column, 1}}, index).rows_touched);
-  }
-}
-BENCHMARK(BM_BTreeProbe)->DenseRange(0, 3, 1);
-
-void BM_BTreeBuild(benchmark::State& state) {
-  const uint32_t width = static_cast<uint32_t>(state.range(0));
-  std::vector<uint32_t> columns;
-  for (uint32_t c = 0; c < width; ++c) columns.push_back(c);
-  for (auto _ : state) {
-    const BTreeIndex index(&SharedTable(), columns);
-    benchmark::DoNotOptimize(index.memory_bytes());
-  }
-}
-BENCHMARK(BM_BTreeBuild)->DenseRange(1, 4, 1);
-
-void BM_BTreeMultiAttributeProbe(benchmark::State& state) {
-  Executor executor = SharedExecutor();
-  const BTreeIndex index(&SharedTable(), {3, 0});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        executor.WithIndex({{3, 1}, {0, 1}}, index).rows_touched);
-  }
-}
-BENCHMARK(BM_BTreeMultiAttributeProbe);
 
 }  // namespace
 }  // namespace idxsel::engine

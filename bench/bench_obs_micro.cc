@@ -3,10 +3,6 @@
 // runtime states. These back the overhead claims in doc/observability.md —
 // runtime-disabled spans are one relaxed atomic load, counter adds are one
 // relaxed fetch_add, and nothing on these paths allocates.
-//
-// Build with -DIDXSEL_ENABLE_OBS=OFF and compare bench_engine_micro to
-// measure the compiled-out overhead (instrumentation sites vanish, so the
-// only honest comparison is between whole builds, not within one).
 
 #include <benchmark/benchmark.h>
 

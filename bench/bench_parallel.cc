@@ -17,6 +17,7 @@
 
 #include "advisor/advisor.h"
 #include "bench_common.h"
+#include "common/float_cmp.h"
 #include "exec/thread_pool.h"
 #include "mip/branch_and_bound.h"
 
@@ -96,7 +97,7 @@ void Run() {
     if (threads == 1) {
       h6_ref = result;
     } else if (!(result.selection == h6_ref.selection) ||
-               result.objective != h6_ref.objective ||
+               !ExactlyEqual(result.objective, h6_ref.objective) ||
                result.whatif_calls != h6_ref.whatif_calls) {
       h6.identical = false;
     }

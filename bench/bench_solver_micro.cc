@@ -1,34 +1,13 @@
-// google-benchmark micro-benchmarks of the solver kernels: simplex on
-// random LPs and branch-and-bound on random selection problems.
+// google-benchmark micro-benchmarks of the solver kernels: branch-and-bound
+// and its greedy seed on random selection problems.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "lp/model.h"
-#include "lp/simplex.h"
 #include "mip/branch_and_bound.h"
 
 namespace idxsel {
 namespace {
-
-lp::Model RandomLp(uint64_t seed, size_t vars, size_t rows) {
-  Rng rng(seed);
-  lp::Model model;
-  std::vector<uint32_t> ids;
-  for (size_t v = 0; v < vars; ++v) {
-    ids.push_back(model.AddVariable(rng.Uniform(-5.0, 5.0), 10.0));
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    lp::Row row;
-    row.sense = lp::Sense::kLe;
-    row.rhs = rng.Uniform(5.0, 50.0);
-    for (size_t v = 0; v < vars; ++v) {
-      row.terms.emplace_back(ids[v], rng.Uniform(0.0, 3.0));
-    }
-    model.AddRow(std::move(row));
-  }
-  return model;
-}
 
 mip::Problem RandomSelectionProblem(uint64_t seed, size_t queries,
                                     size_t candidates) {
@@ -58,16 +37,6 @@ mip::Problem RandomSelectionProblem(uint64_t seed, size_t queries,
   p.Canonicalize();
   return p;
 }
-
-void BM_SimplexSolve(benchmark::State& state) {
-  const size_t vars = static_cast<size_t>(state.range(0));
-  const lp::Model model = RandomLp(7, vars, vars / 2);
-  for (auto _ : state) {
-    auto r = lp::SolveLp(model);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_SimplexSolve)->Arg(10)->Arg(40)->Arg(80);
 
 void BM_BranchAndBoundExact(benchmark::State& state) {
   const size_t candidates = static_cast<size_t>(state.range(0));

@@ -32,6 +32,7 @@
 
 #include "advisor/advisor.h"
 #include "bench_common.h"
+#include "common/float_cmp.h"
 #include "common/format.h"
 #include "kernel/simd.h"
 #include "obs/report.h"
@@ -270,7 +271,7 @@ KernelSimdPoint RunKernelSimd(const workload::Workload& w, double budget) {
   point.dispatch_identical =
       (sig[0].steps == sig[1].steps &&
        sig[0].whatif_calls == sig[1].whatif_calls &&
-       sig[0].objective == sig[1].objective)
+       ExactlyEqual(sig[0].objective, sig[1].objective))
           ? 1
           : 0;
   return point;

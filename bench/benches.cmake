@@ -24,7 +24,7 @@ function(idxsel_bench name)
   target_link_libraries(${name} PRIVATE
     idxsel_common idxsel_obs idxsel_exec idxsel_workload idxsel_costmodel
     idxsel_rt
-    idxsel_candidates idxsel_lp idxsel_mip idxsel_cophy idxsel_selection
+    idxsel_candidates idxsel_mip idxsel_cophy idxsel_selection
     idxsel_core
     idxsel_engine idxsel_frontier idxsel_advisor idxsel_analysis)
   target_compile_definitions(${name} PRIVATE

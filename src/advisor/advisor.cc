@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -56,14 +55,6 @@ size_t ResolveShardCount(const AdvisorOptions& options,
   const size_t query_bearing = QueryBearingTables(w);
   if (query_bearing == 0) return 0;
   if (options.shards != 0) return std::min(options.shards, query_bearing);
-  if (const char* env = std::getenv("IDXSEL_SHARDS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return std::min(static_cast<size_t>(parsed), query_bearing);
-    }
-    return 0;  // IDXSEL_SHARDS=0 (or garbage) disables auto sharding
-  }
   if (query_bearing >= options.shard_auto_min_tables) {
     return std::min<size_t>(64, query_bearing);
   }
@@ -239,12 +230,10 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
   Recommendation rec;
   rec.strategy = options.strategy;
   rec.executed_strategy = options.strategy;
-#if defined(IDXSEL_OBS)
   // Brackets the whole call so rec.report carries the metric deltas and
   // every span the strategies record below. Cold path: two registry
   // snapshots per Recommend().
   obs::RunScope obs_scope(StrategyName(options.strategy));
-#endif
   // Brackets the selection journal (no-op unless obs::JournalEnabled()).
   // The lane order is installed below once the race list is resolved, so
   // Finish() serializes concurrently-racing lanes deterministically.
@@ -286,7 +275,7 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
   // Scoped so the span closes (and lands in the tracer) before the run
   // report snapshot at the bottom collects it.
   {
-  IDXSEL_OBS_SPAN(recommend_span, "advisor", "advisor.recommend");
+  obs::Span recommend_span("advisor", "advisor.recommend");
 
   // The race list: the primary strategy first, then each distinct
   // portfolio entry in the order given — the deterministic tie-break
@@ -355,7 +344,7 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
     // thread budget evenly for their own inner parallelism. The winner is
     // chosen by inspection after all lanes return — never by finish
     // order — so the recommendation is deterministic.
-    IDXSEL_OBS_SPAN(portfolio_span, "advisor", "advisor.portfolio");
+    obs::Span portfolio_span("advisor", "advisor.portfolio");
     const size_t inner_threads = std::max<size_t>(1, threads / lanes.size());
     std::vector<StrategyOutcome> outcomes(lanes.size());
     auto run_lane = [&](size_t i) {
@@ -425,7 +414,6 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
       rec.status = std::move(outcomes[winner].status);
       rec.executed_strategy = lanes[winner];
     }
-#if defined(IDXSEL_OBS)
     {
       obs::Registry& registry = obs::Registry::Default();
       registry.GetCounter("idxsel.advisor.portfolio.races")->Add(1);
@@ -438,7 +426,6 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
             ->Add(1);
       }
     }
-#endif
   }
 
   // A strategy that completed just before the wire still consumed the
@@ -509,7 +496,6 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
     telemetry::EmitJournal(event);
   }
   rec.journal = journal_scope.Finish();
-#if defined(IDXSEL_OBS)
   {
     obs::Registry& registry = obs::Registry::Default();
     const std::string prefix =
@@ -523,19 +509,10 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
     }
     rec.report = obs_scope.Finish();
   }
-#endif
   return rec;
 }
 
 std::string Recommendation::Explain(const costmodel::Index& index) const {
-#if !defined(IDXSEL_OBS)
-  (void)index;
-  return "observability disabled: this build was configured with "
-         "-DIDXSEL_ENABLE_OBS=OFF, so no selection journal exists. "
-         "Rebuild with IDXSEL_ENABLE_OBS=ON and enable the journal "
-         "(IDXSEL_JOURNAL=1 or obs::SetJournalEnabled(true)) to record "
-         "decision provenance.";
-#else
   const std::string label = index.ToString();
   std::string out = "explain " + label + ":\n";
   out += selection.Contains(index)
@@ -587,7 +564,6 @@ std::string Recommendation::Explain(const costmodel::Index& index) const {
            "eligible candidate move of any round)\n";
   }
   return out;
-#endif
 }
 
 std::string RenderReport(WhatIfEngine& engine, const Recommendation& rec,

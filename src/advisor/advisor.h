@@ -98,16 +98,15 @@ struct AdvisorOptions {
 
   /// idxsel::shard — per-table sharded selection with the global budget
   /// arbiter (doc/sharding.md). 0 = auto: shard only when the workload has
-  /// at least `shard_auto_min_tables` query-bearing tables (or when the
-  /// IDXSEL_SHARDS env var forces a count), using min(64, query-bearing
-  /// tables) shards. n >= 1 forces the sharded path with n shards (clamped
-  /// to the query-bearing table count). The sharded path runs only for
-  /// plain single-lane H6 — strategy == kRecursive, no portfolio, and none
-  /// of the Remark-1/2 extensions (prune_unused, pair_steps, swap_repair,
-  /// multi_index_eval, n_best_singles, existing/reconfiguration) — where
-  /// it returns bit-identical selections, traces, and journals to the
-  /// unsharded run at any shard and thread count; otherwise `shards` is
-  /// ignored and the classic path runs.
+  /// at least `shard_auto_min_tables` query-bearing tables, using min(64,
+  /// query-bearing tables) shards. n >= 1 forces the sharded path with n
+  /// shards (clamped to the query-bearing table count). The sharded path
+  /// runs only for plain single-lane H6 — strategy == kRecursive, no
+  /// portfolio, and none of the Remark-1/2 extensions (prune_unused,
+  /// pair_steps, swap_repair, multi_index_eval, n_best_singles,
+  /// existing/reconfiguration) — where it returns bit-identical selections,
+  /// traces, and journals to the unsharded run at any shard and thread
+  /// count; otherwise `shards` is ignored and the classic path runs.
   size_t shards = 0;
   size_t shard_auto_min_tables = 256;
   /// Workload compression v2 applied per shard before selection
@@ -170,24 +169,22 @@ struct Recommendation {
   /// H6 only: the committed construction steps.
   std::vector<core::ConstructionStep> trace;
   /// Observability digest of this run: metric deltas and spans recorded
-  /// while Recommend() was executing. Populated in IDXSEL_OBS builds
-  /// (counters always; spans only while obs::Enabled()); empty otherwise.
+  /// while Recommend() was executing (counters always; spans only while
+  /// obs::Enabled()).
   obs::RunReport report;
   /// Selection journal of this run: one structured decision record per
   /// committed round of every strategy lane (schema idxsel.journal.v1),
-  /// in deterministic lane order — byte-identical at any thread count,
-  /// kernel on or off. Populated in IDXSEL_OBS builds while the journal
-  /// is enabled (obs::SetJournalEnabled / IDXSEL_JOURNAL=1); empty
-  /// otherwise. Export with obs::JournalToJsonl as a *.journal.jsonl
-  /// sidecar; query with Explain().
+  /// in deterministic lane order — byte-identical at any thread count and
+  /// SIMD dispatch. Populated while the journal is enabled
+  /// (obs::SetJournalEnabled / IDXSEL_JOURNAL=1); empty otherwise. Export
+  /// with obs::JournalToJsonl as a *.journal.jsonl sidecar; query with
+  /// Explain().
   std::vector<obs::JournalRecord> journal;
 
   /// "Why was/wasn't `index` selected?" — renders the journal evidence
   /// about one index: the committing/picking record, rejection reasons
-  /// with benefit/memory ratios, prunes and swaps it appears in. Returns
-  /// a well-formed "observability disabled" stub when built with
-  /// -DIDXSEL_ENABLE_OBS=OFF, and points at IDXSEL_JOURNAL when the
-  /// journal was off during the run.
+  /// with benefit/memory ratios, prunes and swaps it appears in. Points at
+  /// IDXSEL_JOURNAL when the journal was off during the run.
   std::string Explain(const costmodel::Index& index) const;
 };
 

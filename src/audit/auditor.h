@@ -28,11 +28,11 @@
 // (never computes, never touches stats), so an audit pass cannot perturb
 // the call counts or cache contents it validates.
 //
-// Gating: call sites compile in when the build defines IDXSEL_AUDIT
-// (CMake option IDXSEL_ENABLE_AUDIT, default ON) and fire at runtime when
-// Enabled() — on under !NDEBUG, opt-in elsewhere via the environment
-// variable IDXSEL_AUDIT=1 (how the sanitizer CI legs, which build
-// RelWithDebInfo/NDEBUG, keep the auditor live). See doc/static_analysis.md.
+// Gating: call sites are always compiled in and fire when Enabled() — on
+// under !NDEBUG, opt-in elsewhere via the environment variable
+// IDXSEL_AUDIT=1 (how the sanitizer CI leg, which builds
+// RelWithDebInfo/NDEBUG, keeps the auditor live). A disabled site costs one
+// branch on a cached bool. See doc/static_analysis.md.
 
 #ifndef IDXSEL_AUDIT_AUDITOR_H_
 #define IDXSEL_AUDIT_AUDITOR_H_

@@ -18,8 +18,8 @@
 // pointer. Strategy layers build an event on the stack out of borrowed
 // const char* / plain doubles — no allocation, no obs types — and hand it
 // to EmitJournal(); obs installs a sink that copies the event into owned
-// obs::JournalRecord storage. When no sink is installed (obs off, or the
-// journal disabled at run time) JournalActive() is false and emitting
+// obs::JournalRecord storage. When no sink is installed (the journal is
+// disabled at run time) JournalActive() is false and emitting
 // layers skip even the label formatting. Same layering story as the
 // slots: kernel/exec/selection may emit, only obs may consume.
 

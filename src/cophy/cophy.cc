@@ -32,7 +32,7 @@ LpStatistics ComputeLpStatistics(const workload::Workload& workload,
 
 mip::Problem BuildProblem(WhatIfEngine& engine, const CandidateSet& candidates,
                           double budget, const rt::Deadline& deadline) {
-  IDXSEL_OBS_SPAN(span, "cophy", "cophy.build_problem");
+  obs::Span span("cophy", "cophy.build_problem");
   rt::DeadlinePoller poller(deadline);
   const workload::Workload& workload = engine.workload();
   mip::Problem problem;
@@ -73,64 +73,18 @@ mip::Problem BuildProblem(WhatIfEngine& engine, const CandidateSet& candidates,
   return problem;
 }
 
-lp::Model BuildLpRelaxation(WhatIfEngine& engine,
-                            const CandidateSet& candidates, double budget,
-                            std::vector<uint32_t>* x_vars) {
-  const workload::Workload& workload = engine.workload();
-  lp::Model model;
-
-  // x_k variables plus the memory constraint (8).
-  std::vector<uint32_t> x(candidates.size());
-  lp::Row memory_row;
-  memory_row.sense = lp::Sense::kLe;
-  memory_row.rhs = budget;
-  for (uint32_t c = 0; c < candidates.size(); ++c) {
-    x[c] = model.AddVariable(0.0, 1.0);
-    memory_row.terms.emplace_back(x[c], engine.IndexMemory(candidates[c]));
-  }
-
-  const auto applicability =
-      candidates::ComputeApplicability(workload, candidates);
-  for (workload::QueryId j = 0; j < workload.num_queries(); ++j) {
-    const double b = workload.query(j).frequency;
-    lp::Row assignment;  // (6): all z_jk sum to one
-    assignment.sense = lp::Sense::kEq;
-    assignment.rhs = 1.0;
-    const uint32_t z0 = model.AddVariable(b * engine.BaseCost(j), 1.0);
-    assignment.terms.emplace_back(z0, 1.0);
-    for (uint32_t c : applicability[j]) {
-      const uint32_t z =
-          model.AddVariable(b * engine.CostWithIndex(j, candidates[c]), 1.0);
-      assignment.terms.emplace_back(z, 1.0);
-      lp::Row coupling;  // (7): z_jk <= x_k
-      coupling.sense = lp::Sense::kLe;
-      coupling.rhs = 0.0;
-      coupling.terms.emplace_back(z, 1.0);
-      coupling.terms.emplace_back(x[c], -1.0);
-      model.AddRow(std::move(coupling));
-    }
-    model.AddRow(std::move(assignment));
-  }
-  model.AddRow(std::move(memory_row));
-
-  if (x_vars != nullptr) *x_vars = std::move(x);
-  return model;
-}
-
 namespace {
 
 CophyResult SolveProblem(mip::Problem problem, const CandidateSet& candidates,
                          const mip::SolveOptions& options,
                          LpStatistics lp_stats) {
-  IDXSEL_OBS_SPAN(span, "cophy", "cophy.solve");
-#if defined(IDXSEL_OBS)
+  obs::Span span("cophy", "cophy.solve");
   obs::Registry& registry = obs::Registry::Default();
   registry.GetCounter("idxsel.cophy.solves")->Add(1);
   registry.GetGauge("idxsel.cophy.last_lp_variables")
       ->Set(static_cast<int64_t>(lp_stats.num_variables));
   registry.GetGauge("idxsel.cophy.last_lp_constraints")
       ->Set(static_cast<int64_t>(lp_stats.num_constraints));
-#endif
   CophyResult result;
   result.lp_stats = lp_stats;
   const std::vector<uint32_t> mapping = problem.Canonicalize();
@@ -155,7 +109,7 @@ CophyResult SolveProblem(mip::Problem problem, const CandidateSet& candidates,
     IDXSEL_CHECK_LT(canonical, mapping.size());
     result.selection.Insert(candidates[mapping[canonical]]);
   }
-  IDXSEL_OBS_ONLY(span.SetArg("nodes", static_cast<double>(result.nodes));)
+  span.SetArg("nodes", static_cast<double>(result.nodes));
 
   // Decision provenance: one record per solve, built exclusively from the
   // deterministic end-state (selection, objective, status). Node counts,

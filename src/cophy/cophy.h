@@ -9,10 +9,9 @@
 //               z_jk <= x_k                                   (7)
 //               sum_i p_i x_i <= A                            (8)
 //
-// The heavy path solves the equivalent reduced form via idxsel::mip (the
-// CPLEX substitute, exact with mipgap/time-limit). The explicit LP (for
-// Figure 6's size statistics and for small-instance cross-checks via the
-// simplex) is also provided.
+// The program is solved in its equivalent reduced form via idxsel::mip
+// (the CPLEX substitute, exact with mipgap/time-limit). The explicit LP is
+// never built; ComputeLpStatistics counts its size for Figure 6.
 
 #ifndef IDXSEL_COPHY_COPHY_H_
 #define IDXSEL_COPHY_COPHY_H_
@@ -22,7 +21,6 @@
 #include "candidates/candidates.h"
 #include "costmodel/index.h"
 #include "costmodel/what_if.h"
-#include "lp/model.h"
 #include "mip/branch_and_bound.h"
 #include "mip/problem.h"
 
@@ -57,12 +55,6 @@ LpStatistics ComputeLpStatistics(const workload::Workload& workload,
 mip::Problem BuildProblem(WhatIfEngine& engine, const CandidateSet& candidates,
                           double budget,
                           const rt::Deadline& deadline = rt::Deadline());
-
-/// Builds the full explicit LP relaxation (eqs. 5-8 with 0 <= x, z <= 1).
-/// `x_vars` (optional) receives the column id of each candidate's x_k.
-lp::Model BuildLpRelaxation(WhatIfEngine& engine,
-                            const CandidateSet& candidates, double budget,
-                            std::vector<uint32_t>* x_vars = nullptr);
 
 /// Outcome of a CoPhy run.
 struct CophyResult {

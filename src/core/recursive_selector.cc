@@ -20,7 +20,6 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-#if defined(IDXSEL_OBS)
 /// Registry counters of the selector, resolved once per process. The
 /// Runner accumulates plain locals during a run and publishes them here in
 /// one batch at the end, keeping the construction loop free of atomics.
@@ -60,7 +59,6 @@ struct SelectorMetrics {
     return metrics;
   }
 };
-#endif
 
 namespace kernel = idxsel::kernel;
 
@@ -135,7 +133,7 @@ class Runner {
   }
 
   RecursiveResult Run() {
-    IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
+    obs::Span run_span("selector", "h6.run");
     Stopwatch watch;
     // Sampled once per run: a sink installed mid-run must not make later
     // rounds journal while earlier ones did not (or vice versa), which
@@ -180,9 +178,8 @@ class Runner {
 
     RecursiveResult result;
     while (result.trace.size() < opts_.max_steps && !poller_.Expired()) {
-      IDXSEL_OBS_SPAN(round_span, "selector", "h6.round");
-      IDXSEL_OBS_ONLY(round_span.SetArg(
-          "round", static_cast<double>(result.trace.size()));)
+      obs::Span round_span("selector", "h6.round");
+      round_span.SetArg("round", static_cast<double>(result.trace.size()));
       Move best;
       Move runner_up;
       if (journal_) ResetRoundLog();
@@ -222,17 +219,14 @@ class Runner {
       }
       const double objective_after = objective_ + ReconfigTotal();
 
-#if defined(IDXSEL_AUDIT)
       // End-of-round is the auditor's quiescent point: the pool's lanes
       // have joined and the commit's dense-row inheritance is complete, so
       // dense tables and hashed caches must agree exactly here. Debug
-      // builds and the sanitizer CI legs (IDXSEL_AUDIT=1 env) run this;
-      // -DIDXSEL_ENABLE_AUDIT=OFF compiles the site out.
+      // builds and the sanitizer CI leg (IDXSEL_AUDIT=1 env) run this.
       if (audit::Enabled()) {
         const audit::InvariantAuditor auditor(&engine_);
         audit::InvariantAuditor::CheckClean(auditor.AuditAll());
       }
-#endif
 
       if (journal_) {
         EmitCommitRecord(best, runner_up, objective_before, objective_after);
@@ -279,7 +273,6 @@ class Runner {
         poller_.expired()
             ? Status::Timeout("recursive selector: deadline expired")
             : Status::Ok();
-#if defined(IDXSEL_OBS)
     const SelectorMetrics& metrics = SelectorMetrics::Get();
     metrics.runs->Add(1);
     metrics.rounds->Add(committed_rounds_);
@@ -295,7 +288,6 @@ class Runner {
       metrics.run_latency->Record(
           static_cast<uint64_t>(result.runtime_seconds * 1e9));
     }
-#endif
     return result;
   }
 

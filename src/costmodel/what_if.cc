@@ -15,7 +15,6 @@ namespace {
 /// garbage — see WhatIfEngine's validation contract.
 bool WellFormed(double v) { return std::isfinite(v) && v >= 0.0; }
 
-#if defined(IDXSEL_OBS)
 /// Times one backend invocation into the latency histogram; a no-op
 /// (single relaxed atomic load) while runtime-disabled.
 class BackendCallTimer {
@@ -33,7 +32,6 @@ class BackendCallTimer {
   obs::Histogram* histogram_;
   uint64_t start_ns_;
 };
-#endif
 
 }  // namespace
 
@@ -52,7 +50,6 @@ WhatIfEngine::WhatIfEngine(const workload::Workload* workload_in,
   IDXSEL_CHECK(workload_ != nullptr);
   IDXSEL_CHECK(backend_ != nullptr);
   dense_ = std::make_unique<DenseState>(*workload_);
-#if defined(IDXSEL_OBS)
   obs::Registry& registry = obs::Registry::Default();
   obs_calls_ = registry.GetCounter("idxsel.whatif.calls");
   obs_hits_ = registry.GetCounter("idxsel.whatif.cache_hits");
@@ -62,12 +59,9 @@ WhatIfEngine::WhatIfEngine(const workload::Workload* workload_in,
   obs_cost_entries_ = registry.GetGauge("idxsel.whatif.cost_cache_entries");
   obs_config_entries_ =
       registry.GetGauge("idxsel.whatif.config_cache_entries");
-#endif
-#if defined(IDXSEL_OBS)
   obs_kernel_fast_ = registry.GetCounter("idxsel.kernel.fast_path_hits");
   obs_kernel_fallback_ =
       registry.GetCounter("idxsel.kernel.fallback_lookups");
-#endif
   const size_t n = workload_->num_queries();
   base_cost_ = std::make_unique<std::atomic<double>[]>(n);
   for (size_t j = 0; j < n; ++j) {
@@ -92,17 +86,15 @@ WhatIfEngine::WhatIfEngine(const workload::Workload* workload_in,
 WhatIfEngine::~WhatIfEngine() {
   // Return this engine's entries to the live cache-size gauges so a
   // destroyed engine leaves no phantom entries behind.
-  IDXSEL_OBS_ONLY(
-      obs_cost_entries_->Add(-static_cast<int64_t>(cost_cache_.Size()));
-      obs_config_entries_->Add(
-          -static_cast<int64_t>(config_cost_cache_.Size()));)
+  obs_cost_entries_->Add(-static_cast<int64_t>(cost_cache_.Size()));
+  obs_config_entries_->Add(-static_cast<int64_t>(config_cost_cache_.Size()));
 }
 
 double WhatIfEngine::Sanitize(double value, double fallback,
                               const char* what) {
   if (WellFormed(value)) return value;
   stats_.sanitized.fetch_add(1, std::memory_order_relaxed);
-  IDXSEL_OBS_ONLY(obs_sanitized_->Add();)
+  obs_sanitized_->Add();
   {
     common::MutexLock lock(&health_mu_);
     if (health_.ok()) {
@@ -124,7 +116,7 @@ double WhatIfEngine::BaseCost(QueryId j) {
   double cached = base_cost_[j].load(std::memory_order_acquire);
   if (!std::isnan(cached)) {
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_hits_->Add();)
+    obs_hits_->Add();
     return cached;
   }
   common::MutexLock lock(&base_mu_[j % kBaseLockStripes]);
@@ -133,12 +125,12 @@ double WhatIfEngine::BaseCost(QueryId j) {
     // Lost the race: another thread fetched it while we waited — still a
     // cache hit from this caller's perspective, same as serial re-lookup.
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_hits_->Add();)
+    obs_hits_->Add();
     return cached;
   }
   double cost;
   {
-    IDXSEL_OBS_ONLY(BackendCallTimer timer(obs_latency_);)
+    BackendCallTimer timer(obs_latency_);
     cost = backend_->BaseCost(j);
   }
   // No better estimate exists when f_j(0) itself is garbage; clamp to 0
@@ -147,7 +139,7 @@ double WhatIfEngine::BaseCost(QueryId j) {
   cost = Sanitize(cost, 0.0, "BaseCost");
   base_cost_[j].store(cost, std::memory_order_release);
   stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  IDXSEL_OBS_ONLY(obs_calls_->Add();)
+  obs_calls_->Add();
   return cost;
 }
 
@@ -183,7 +175,7 @@ bool WhatIfEngine::PeekCachedMemory(const Index& k, double* out) const {
 double WhatIfEngine::CostWithIndex(QueryId j, const Index& k) {
   if (!Applicable(j, k)) {
     stats_.skipped_inapplicable.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_skipped_->Add();)
+    obs_skipped_->Add();
     return BaseCost(j);
   }
   Key key{j, CanonicalCostIndex(j, k)};
@@ -194,7 +186,7 @@ double WhatIfEngine::CostWithIndex(QueryId j, const Index& k) {
   auto [cost, hit] = cost_cache_.GetOrCompute(key, [&] {
     double c;
     {
-      IDXSEL_OBS_ONLY(BackendCallTimer timer(obs_latency_);)
+      BackendCallTimer timer(obs_latency_);
       // Ask the backend about the *canonical* index, not k: the cached
       // value must be a pure function of the key. f_j is mathematically
       // equal on every index sharing the key (same coverable prefix
@@ -212,12 +204,13 @@ double WhatIfEngine::CostWithIndex(QueryId j, const Index& k) {
       c = Sanitize(c, BaseCost(j), "CostWithIndex");
     }
     stats_.calls.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_calls_->Add(); obs_cost_entries_->Add(1);)
+    obs_calls_->Add();
+    obs_cost_entries_->Add(1);
     return c;
   });
   if (hit) {
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_hits_->Add();)
+    obs_hits_->Add();
   }
   return cost;
 }
@@ -279,10 +272,11 @@ double WhatIfEngine::CostWithIndexDense(QueryId j, kernel::IndexId id,
     // from a row whose canonical key (identical for every query that
     // cannot exploit the extension) already was. See doc/cost_model.md.
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_hits_->Add(); obs_kernel_fast_->Add();)
+    obs_hits_->Add();
+    obs_kernel_fast_->Add();
     return cached;
   }
-  IDXSEL_OBS_ONLY(obs_kernel_fallback_->Add();)
+  obs_kernel_fallback_->Add();
   const double cost = CostWithIndex(j, MaterializeIndex(id));
   const auto& posting = workload_->queries_with(dense_->arena.leading(id));
   IDXSEL_DCHECK(slot < posting.size() && posting[slot] == j);
@@ -320,7 +314,8 @@ bool WhatIfEngine::CostWithIndexBatch(kernel::IndexId id,
   // totals (the canonical keyed-cache entries provably exist for every
   // set slot — see the hit comment there), one fetch_add instead of n.
   stats_.cache_hits.fetch_add(n, std::memory_order_relaxed);
-  IDXSEL_OBS_ONLY(obs_hits_->Add(n); obs_kernel_fast_->Add(n);)
+  obs_hits_->Add(n);
+  obs_kernel_fast_->Add(n);
   return true;
 }
 
@@ -335,10 +330,10 @@ double WhatIfEngine::CostWithIndexDenseSlow(QueryId j, kernel::IndexId id) {
 double WhatIfEngine::IndexMemoryDense(kernel::IndexId id) {
   const double cached = dense_->memory.Get(id);
   if (!std::isnan(cached)) {
-    IDXSEL_OBS_ONLY(obs_kernel_fast_->Add();)
+    obs_kernel_fast_->Add();
     return cached;
   }
-  IDXSEL_OBS_ONLY(obs_kernel_fallback_->Add();)
+  obs_kernel_fallback_->Add();
   // The keyed path sanitizes garbage sizes to +infinity (never NaN), so
   // every stored value reads back as "set".
   const double v = IndexMemory(MaterializeIndex(id));
@@ -350,10 +345,10 @@ double WhatIfEngine::MaintenancePenaltyDense(kernel::IndexId id) {
   if (write_queries_.empty()) return 0.0;
   const double cached = dense_->maintenance.Get(id);
   if (!std::isnan(cached)) {
-    IDXSEL_OBS_ONLY(obs_kernel_fast_->Add();)
+    obs_kernel_fast_->Add();
     return cached;
   }
-  IDXSEL_OBS_ONLY(obs_kernel_fallback_->Add();)
+  obs_kernel_fallback_->Add();
   const double v = MaintenancePenalty(MaterializeIndex(id));
   dense_->maintenance.Put(id, v);
   return v;
@@ -410,14 +405,14 @@ double WhatIfEngine::CostWithConfig(QueryId j, const IndexConfig& config) {
   }
   if (relevant.empty()) {
     stats_.skipped_inapplicable.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_skipped_->Add();)
+    obs_skipped_->Add();
     return BaseCost(j);
   }
   ConfigKey key{j, std::move(relevant)};
   auto [cost, hit] = config_cost_cache_.GetOrCompute(key, [&] {
     double c;
     {
-      IDXSEL_OBS_ONLY(BackendCallTimer timer(obs_latency_);)
+      BackendCallTimer timer(obs_latency_);
       c = backend_->CostWithConfig(j, key.config);
     }
     // Same fallback as CostWithIndex: a garbage f_j(I*) degrades to "the
@@ -426,12 +421,13 @@ double WhatIfEngine::CostWithConfig(QueryId j, const IndexConfig& config) {
       c = Sanitize(c, BaseCost(j), "CostWithConfig");
     }
     stats_.calls.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_calls_->Add(); obs_config_entries_->Add(1);)
+    obs_calls_->Add();
+    obs_config_entries_->Add(1);
     return c;
   });
   if (hit) {
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    IDXSEL_OBS_ONLY(obs_hits_->Add();)
+    obs_hits_->Add();
   }
   return cost;
 }
@@ -449,13 +445,8 @@ void WhatIfEngine::InvalidateCostCache() {
   // Keep the live-size gauges in lockstep with the caches they describe.
   const size_t cost_erased = cost_cache_.Clear();
   const size_t config_erased = config_cost_cache_.Clear();
-  IDXSEL_OBS_ONLY(
-      obs_cost_entries_->Add(-static_cast<int64_t>(cost_erased));
-      obs_config_entries_->Add(-static_cast<int64_t>(config_erased));)
-#if !defined(IDXSEL_OBS)
-  (void)cost_erased;
-  (void)config_erased;
-#endif
+  obs_cost_entries_->Add(-static_cast<int64_t>(cost_erased));
+  obs_config_entries_->Add(-static_cast<int64_t>(config_erased));
   // The dense table shadows the cost cache, so it must forget too (sizes
   // and maintenance penalties are kept, mirroring the keyed caches).
   dense_->costs.Invalidate();

@@ -98,12 +98,11 @@ class ModelBackend : public WhatIfBackend {
 /// parallel strategies can hammer the engine). Because the sharded caches
 /// compute each key exactly once — concurrent requests for one key
 /// serialize on its shard — the totals are the same whether a selection
-/// ran on 1 thread or 8. When the build compiles observability in
-/// (IDXSEL_OBS), every increment is mirrored onto process-wide counters in
-/// obs::Registry::Default() ("idxsel.whatif.calls" / ".cache_hits" /
-/// ".skipped_inapplicable", "idxsel.rt.sanitized"), alongside a
-/// backend-latency histogram and live cache-size gauges — see
-/// doc/observability.md.
+/// ran on 1 thread or 8. Every increment is also mirrored onto
+/// process-wide counters in obs::Registry::Default()
+/// ("idxsel.whatif.calls" / ".cache_hits" / ".skipped_inapplicable",
+/// "idxsel.rt.sanitized"), alongside a backend-latency histogram and live
+/// cache-size gauges — see doc/observability.md.
 struct WhatIfStats {
   uint64_t calls = 0;
   uint64_t cache_hits = 0;
@@ -404,7 +403,6 @@ class WhatIfEngine {
   mutable common::Mutex health_mu_;
   Status health_ IDXSEL_GUARDED_BY(health_mu_);  // first misbehaviour, or OK
 
-#if defined(IDXSEL_OBS)
   // Process-wide mirrors (resolved once; see WhatIfStats docs).
   obs::Counter* obs_calls_;
   obs::Counter* obs_hits_;
@@ -413,7 +411,6 @@ class WhatIfEngine {
   obs::Histogram* obs_latency_;      ///< idxsel.whatif.backend_latency_ns.
   obs::Gauge* obs_cost_entries_;     ///< idxsel.whatif.cost_cache_entries.
   obs::Gauge* obs_config_entries_;   ///< idxsel.whatif.config_cache_entries.
-#endif
 
   /// f_j(0) per query; NaN = not yet fetched. Fast path is one relaxed
   /// atomic load; misses serialize on a small lock stripe so each query's
@@ -446,10 +443,8 @@ class WhatIfEngine {
     kernel::DenseValueTable maintenance; ///< maintenance penalty by id.
   };
   std::unique_ptr<DenseState> dense_;
-#if defined(IDXSEL_OBS)
   obs::Counter* obs_kernel_fast_;      ///< idxsel.kernel.fast_path_hits.
   obs::Counter* obs_kernel_fallback_;  ///< idxsel.kernel.fallback_lookups.
-#endif
 };
 
 }  // namespace idxsel::costmodel

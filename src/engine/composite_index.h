@@ -13,22 +13,23 @@
 #include <vector>
 
 #include "engine/column_store.h"
-#include "engine/secondary_index.h"
 
 namespace idxsel::engine {
 
 /// Secondary index on an ordered list of column ordinals of one table.
-class CompositeIndex : public SecondaryIndex {
+class CompositeIndex {
  public:
   /// Builds the index by sorting the table's row ids.
   CompositeIndex(const ColumnTable* table, std::vector<uint32_t> columns);
 
-  const std::vector<uint32_t>& columns() const override { return columns_; }
+  /// Key columns (table ordinals), in index order.
+  const std::vector<uint32_t>& columns() const { return columns_; }
   size_t key_width() const { return columns_.size(); }
 
-  /// SecondaryIndex probe: appends the matching row ids.
+  /// Appends to `out_rows` the ids of all rows whose key matches `values`
+  /// on the first values.size() key columns (an equality prefix probe).
   void LookupPrefix(std::span<const uint32_t> values,
-                    std::vector<uint32_t>* out_rows) const override;
+                    std::vector<uint32_t>* out_rows) const;
 
   /// Row ids matching equality on the first `values.size()` key columns
   /// (a key *prefix*); the returned span aliases the index and is sorted by
@@ -37,7 +38,7 @@ class CompositeIndex : public SecondaryIndex {
 
   /// Bytes consumed: the row-id permutation plus one materialized key copy
   /// per column (mirroring p_k of the analytic model).
-  size_t memory_bytes() const override;
+  size_t memory_bytes() const;
 
  private:
   const ColumnTable* table_;

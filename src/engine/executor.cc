@@ -63,7 +63,7 @@ ExecutionResult Executor::ScanOnly(
 }
 
 size_t Executor::CoverablePrefix(const std::vector<Predicate>& predicates,
-                                 const SecondaryIndex& index) {
+                                 const CompositeIndex& index) {
   size_t len = 0;
   for (uint32_t key_col : index.columns()) {
     const bool constrained =
@@ -76,7 +76,7 @@ size_t Executor::CoverablePrefix(const std::vector<Predicate>& predicates,
 }
 
 ExecutionResult Executor::WithIndex(const std::vector<Predicate>& predicates,
-                                    const SecondaryIndex& index) const {
+                                    const CompositeIndex& index) const {
   const size_t prefix_len = CoverablePrefix(predicates, index);
   IDXSEL_CHECK_GE(prefix_len, 1u);
 

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/column_store.h"
-#include "engine/secondary_index.h"
+#include "engine/composite_index.h"
 
 namespace idxsel::engine {
 
@@ -45,12 +45,12 @@ class Executor {
   /// that predicates constrain (>= 1 required), then filters the remaining
   /// predicates over the resulting position list.
   ExecutionResult WithIndex(const std::vector<Predicate>& predicates,
-                            const SecondaryIndex& index) const;
+                            const CompositeIndex& index) const;
 
   /// Length of the index-key prefix the predicates can drive (0 when the
   /// leading key column is unconstrained, i.e. the index is inapplicable).
   static size_t CoverablePrefix(const std::vector<Predicate>& predicates,
-                                const SecondaryIndex& index);
+                                const CompositeIndex& index);
 
  private:
   const ColumnTable* table_;

@@ -10,11 +10,8 @@
 namespace idxsel::engine {
 
 MeasuredCostSource::MeasuredCostSource(const Database* database,
-                                       uint32_t repetitions, uint64_t seed,
-                                       IndexImplementation implementation)
-    : db_(database),
-      repetitions_(repetitions),
-      implementation_(implementation) {
+                                       uint32_t repetitions, uint64_t seed)
+    : db_(database), repetitions_(repetitions) {
   IDXSEL_CHECK(db_ != nullptr);
   IDXSEL_CHECK_GE(repetitions, 1u);
   const workload::Workload& w = db_->workload();
@@ -50,7 +47,7 @@ MeasuredCostSource::MeasuredCostSource(const Database* database,
   }
 }
 
-const SecondaryIndex& MeasuredCostSource::GetOrBuildIndex(
+const CompositeIndex& MeasuredCostSource::GetOrBuildIndex(
     const costmodel::Index& k) const {
   auto it = indexes_.find(k);
   if (it == indexes_.end()) {
@@ -62,21 +59,13 @@ const SecondaryIndex& MeasuredCostSource::GetOrBuildIndex(
       IDXSEL_CHECK_EQ(w.attribute(a).table, t);
       columns.push_back(db_->ordinal(a));
     }
-    std::unique_ptr<SecondaryIndex> index;
-    if (implementation_ == IndexImplementation::kBTree) {
-      index = std::make_unique<BTreeIndex>(&db_->table(t),
-                                           std::move(columns));
-    } else {
-      index = std::make_unique<CompositeIndex>(&db_->table(t),
-                                               std::move(columns));
-    }
-    it = indexes_.emplace(k, std::move(index)).first;
+    it = indexes_.try_emplace(k, &db_->table(t), std::move(columns)).first;
   }
-  return *it->second;
+  return it->second;
 }
 
 double MeasuredCostSource::TimeExecution(QueryId j,
-                                         const SecondaryIndex* index) const {
+                                         const CompositeIndex* index) const {
   const workload::Query& q = db_->workload().query(j);
   const Executor& executor = executors_[q.table];
   double best = std::numeric_limits<double>::infinity();
@@ -103,7 +92,7 @@ double MeasuredCostSource::BaseCost(QueryId j) const {
 
 double MeasuredCostSource::CostWithIndex(QueryId j,
                                          const costmodel::Index& k) const {
-  const SecondaryIndex& index = GetOrBuildIndex(k);
+  const CompositeIndex& index = GetOrBuildIndex(k);
   // Inapplicable indexes (unconstrained leading key column) fall back to
   // the scan plan, like a real optimizer would.
   if (Executor::CoverablePrefix(predicates_[j], index) == 0) {

@@ -15,23 +15,15 @@
 #ifndef IDXSEL_ENGINE_MEASURED_COST_H_
 #define IDXSEL_ENGINE_MEASURED_COST_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "costmodel/what_if.h"
-#include "engine/btree_index.h"
 #include "engine/column_store.h"
 #include "engine/composite_index.h"
 #include "engine/executor.h"
 
 namespace idxsel::engine {
-
-/// Physical representation used for the on-demand index builds.
-enum class IndexImplementation {
-  kSortedPermutation,  ///< CompositeIndex (position-list index).
-  kBTree,              ///< BTreeIndex (bulk-loaded B+-tree).
-};
 
 /// WhatIfBackend backed by real executions on a Database.
 class MeasuredCostSource : public costmodel::WhatIfBackend {
@@ -39,9 +31,7 @@ class MeasuredCostSource : public costmodel::WhatIfBackend {
   /// `repetitions`: executions per measurement; the minimum is reported
   /// (the paper repeats >= 100 times; scale to taste).
   MeasuredCostSource(const Database* database, uint32_t repetitions,
-                     uint64_t seed,
-                     IndexImplementation implementation =
-                         IndexImplementation::kSortedPermutation);
+                     uint64_t seed);
 
   double BaseCost(QueryId j) const override;
   double CostWithIndex(QueryId j, const costmodel::Index& k) const override;
@@ -56,15 +46,14 @@ class MeasuredCostSource : public costmodel::WhatIfBackend {
   size_t indexes_built() const { return indexes_.size(); }
 
  private:
-  const SecondaryIndex& GetOrBuildIndex(const costmodel::Index& k) const;
-  double TimeExecution(QueryId j, const SecondaryIndex* index) const;
+  const CompositeIndex& GetOrBuildIndex(const costmodel::Index& k) const;
+  double TimeExecution(QueryId j, const CompositeIndex* index) const;
 
   const Database* db_;
   uint32_t repetitions_;
-  IndexImplementation implementation_;
   std::vector<std::vector<Predicate>> predicates_;  // per query
   std::vector<Executor> executors_;                 // per table
-  mutable std::unordered_map<costmodel::Index, std::unique_ptr<SecondaryIndex>,
+  mutable std::unordered_map<costmodel::Index, CompositeIndex,
                              costmodel::IndexHash>
       indexes_;
   mutable std::vector<double> base_cache_;  // NaN = not yet measured

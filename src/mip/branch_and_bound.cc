@@ -69,7 +69,7 @@ class Engine {
         cur_cost_(problem.base_cost) {}
 
   SolveResult Run() {
-    IDXSEL_OBS_SPAN(solve_span, "mip", "mip.solve");
+    obs::Span solve_span("mip", "mip.solve");
     SeedGreedy();
     Dfs(0.0);
 
@@ -92,12 +92,10 @@ class Engine {
     } else {
       result.status = Status::Ok();
     }
-#if defined(IDXSEL_OBS)
     PublishObs(result);
     if (obs::Enabled()) {
       solve_span.SetArg("nodes", static_cast<double>(nodes_));
     }
-#endif
     return result;
   }
 
@@ -106,7 +104,6 @@ class Engine {
     return std::max(0.0, objective - bound) / denom;
   }
 
-#if defined(IDXSEL_OBS)
   static void PublishObs(const SolveResult& result) {
     obs::Registry& registry = obs::Registry::Default();
     registry.GetCounter("idxsel.mip.solves")->Add(1);
@@ -121,7 +118,6 @@ class Engine {
           ->Record(static_cast<uint64_t>(result.wall_seconds * 1e9));
     }
   }
-#endif
 
   /// Root incumbent from lazy density greedy.
   void SeedGreedy() {
@@ -495,7 +491,7 @@ class Engine {
 /// pruning, DFS-ordered deterministic reduction. See doc/parallelism.md.
 SolveResult SolveParallel(const Problem& problem, const SolveOptions& opts,
                           size_t threads) {
-  IDXSEL_OBS_SPAN(solve_span, "mip", "mip.solve");
+  obs::Span solve_span("mip", "mip.solve");
   Stopwatch watch;
   SharedState shared;
   Engine splitter(problem, opts, &shared, &watch);
@@ -632,7 +628,6 @@ SolveResult SolveParallel(const Problem& problem, const SolveOptions& opts,
   } else {
     result.status = Status::Ok();
   }
-#if defined(IDXSEL_OBS)
   Engine::PublishObs(result);
   obs::Registry::Default()
       .GetCounter("idxsel.mip.parallel_jobs")
@@ -641,7 +636,6 @@ SolveResult SolveParallel(const Problem& problem, const SolveOptions& opts,
     solve_span.SetArg("nodes", static_cast<double>(result.nodes));
     solve_span.SetArg("jobs", static_cast<double>(jobs.size()));
   }
-#endif
   return result;
 }
 

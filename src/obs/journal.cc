@@ -56,22 +56,16 @@ void AppendField(std::string* out, const char* key, uint64_t v) {
   *out += buf;
 }
 
-#if defined(IDXSEL_OBS)
 void BridgeSink(const telemetry::JournalEvent& event) {
   Journal::Default().Append(event);
 }
-#endif
 
 std::atomic<bool>& JournalEnabledFlag() {
   static std::atomic<bool> flag{[] {
-#if defined(IDXSEL_OBS)
     const char* v = std::getenv("IDXSEL_JOURNAL");
     const bool on = v != nullptr && v[0] == '1';
     if (on) telemetry::SetJournalSink(&BridgeSink);
     return on;
-#else
-    return false;
-#endif
   }()};
   return flag;
 }
@@ -140,12 +134,8 @@ bool JournalEnabled() {
 }
 
 void SetJournalEnabled(bool on) {
-#if defined(IDXSEL_OBS)
   JournalEnabledFlag().store(on, std::memory_order_relaxed);
   telemetry::SetJournalSink(on ? &BridgeSink : nullptr);
-#else
-  (void)on;  // obs-off builds never install a sink; journals stay empty.
-#endif
 }
 
 Journal& Journal::Default() {
@@ -214,9 +204,7 @@ void Journal::Clear() {
 
 JournalScope::JournalScope(std::vector<std::string> lane_order)
     : lane_order_(std::move(lane_order)) {
-#if defined(IDXSEL_OBS)
   if (JournalEnabled()) telemetry::SetJournalSink(&BridgeSink);
-#endif
   mark_ = Journal::Default().size();
 }
 

@@ -65,14 +65,12 @@ struct JournalRecord {
 /// Full sidecar body: one ToJsonl() line per record, each '\n'-terminated.
 std::string JournalToJsonl(const std::vector<JournalRecord>& records);
 
-/// True iff emitted events are being recorded. Always false in
-/// -DIDXSEL_ENABLE_OBS=OFF builds: the types keep their shape, but no
-/// sink is ever installed, so journals stay empty and
-/// Recommendation::Explain reports observability as disabled.
+/// True iff emitted events are being recorded (IDXSEL_JOURNAL=1 at start,
+/// or SetJournalEnabled(true)).
 bool JournalEnabled();
 
 /// Installs (on) or removes (off) the telemetry journal sink. Safe to
-/// call repeatedly; idempotent. No-op in IDXSEL_ENABLE_OBS=OFF builds.
+/// call repeatedly; idempotent.
 void SetJournalEnabled(bool on);
 
 /// Process-wide bounded record buffer fed by the telemetry sink.

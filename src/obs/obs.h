@@ -1,14 +1,9 @@
 // idxsel::obs — unified tracing, metrics, and profiling layer.
 //
-// Umbrella header plus the compile-time site macros. Instrumentation in
-// the selection pipeline goes through these macros so that configuring
-// with -DIDXSEL_ENABLE_OBS=OFF (which leaves the IDXSEL_OBS preprocessor
-// symbol undefined) removes every site entirely — the observability
-// library itself still builds, so RunReport-carrying APIs keep their
-// shape and merely return empty reports.
-//
-//   IDXSEL_OBS_SPAN(var, category, name)   RAII span (see obs::Span)
-//   IDXSEL_OBS_ONLY(...)                   passthrough statement(s)
+// Umbrella header. Instrumentation sites in the selection pipeline declare
+// an obs::Span (RAII; one relaxed atomic load while obs::Enabled() is
+// false) and bump registry counters directly; obs/runtime.h holds the one
+// runtime switch.
 //
 // See doc/observability.md for naming conventions, JSON schemas, and how
 // to open a captured trace in Chrome.
@@ -22,16 +17,5 @@
 #include "obs/resource.h"
 #include "obs/runtime.h"
 #include "obs/trace.h"
-
-#if defined(IDXSEL_OBS)
-#define IDXSEL_OBS_SPAN(var, category, name) \
-  ::idxsel::obs::Span var((category), (name))
-#define IDXSEL_OBS_ONLY(...) __VA_ARGS__
-#else
-#define IDXSEL_OBS_SPAN(var, category, name) \
-  do {                                       \
-  } while (false)
-#define IDXSEL_OBS_ONLY(...)
-#endif
 
 #endif  // IDXSEL_OBS_OBS_H_

@@ -1,15 +1,10 @@
 // Runtime on/off switch and the monotonic clock of idxsel::obs.
 //
-// Two independent gates keep observability free when unwanted:
-//   * compile time — the build defines IDXSEL_OBS (CMake option
-//     IDXSEL_ENABLE_OBS, default ON); with the option OFF every
-//     instrumentation site in the library compiles to nothing (see
-//     obs/obs.h for the site macros).
-//   * run time — Enabled() starts false (or true when the IDXSEL_OBS
-//     environment variable is "1") and is flipped with SetEnabled().
-//     While disabled, spans read one relaxed atomic and touch neither the
-//     clock nor any allocation; counters and gauges stay live because they
-//     are as cheap as the plain struct fields they replaced.
+// One gate keeps observability cheap when unwanted: Enabled() starts false
+// (or true when the IDXSEL_OBS environment variable is "1") and is flipped
+// with SetEnabled(). While disabled, spans read one relaxed atomic and
+// touch neither the clock nor any allocation; counters and gauges stay
+// live because they are as cheap as the plain struct fields they replaced.
 
 #ifndef IDXSEL_OBS_RUNTIME_H_
 #define IDXSEL_OBS_RUNTIME_H_

@@ -12,13 +12,11 @@
 namespace idxsel::rt {
 namespace {
 
-#if defined(IDXSEL_OBS)
 obs::Counter* InjectedCounter() {
   static obs::Counter* counter =
       obs::Registry::Default().GetCounter("idxsel.rt.fault_injected");
   return counter;
 }
-#endif
 
 }  // namespace
 
@@ -54,7 +52,7 @@ double FaultInjectingBackend::Corrupt(double truthful) const {
     if (opts_.fail_burst > 0 && call >= opts_.fail_after_calls &&
         call < opts_.fail_after_calls + opts_.fail_burst) {
       ++stats_.injected_outage;
-      IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+      InjectedCounter()->Add();
       return std::numeric_limits<double>::quiet_NaN();
     }
 
@@ -68,7 +66,7 @@ double FaultInjectingBackend::Corrupt(double truthful) const {
               static_cast<int64_t>(opts_.outage_gap_max)));
         }
         ++stats_.injected_outage;
-        IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+        InjectedCounter()->Add();
         return std::numeric_limits<double>::quiet_NaN();
       }
       if (gap_remaining_ == 0) {
@@ -79,7 +77,7 @@ double FaultInjectingBackend::Corrupt(double truthful) const {
               static_cast<int64_t>(opts_.outage_gap_max)));
         }
         ++stats_.injected_outage;
-        IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+        InjectedCounter()->Add();
         return std::numeric_limits<double>::quiet_NaN();
       }
       --gap_remaining_;
@@ -88,7 +86,7 @@ double FaultInjectingBackend::Corrupt(double truthful) const {
     if (opts_.latency_probability > 0.0 &&
         rng_.NextDouble() < opts_.latency_probability) {
       ++stats_.injected_latency;
-      IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+      InjectedCounter()->Add();
       sleep = true;
     }
 
@@ -99,15 +97,15 @@ double FaultInjectingBackend::Corrupt(double truthful) const {
     double band = opts_.nan_probability;
     if (draw < band) {
       ++stats_.injected_nan;
-      IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+      InjectedCounter()->Add();
       result = std::numeric_limits<double>::quiet_NaN();
     } else if (draw < (band += opts_.inf_probability)) {
       ++stats_.injected_inf;
-      IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+      InjectedCounter()->Add();
       result = std::numeric_limits<double>::infinity();
     } else if (draw < (band += opts_.negative_probability)) {
       ++stats_.injected_negative;
-      IDXSEL_OBS_ONLY(InjectedCounter()->Add();)
+      InjectedCounter()->Add();
       result = !ExactlyZero(truthful) ? -truthful : -1.0;
     }
   }

@@ -12,8 +12,7 @@
 // Injection is reproducible: the same seed and call sequence produce the
 // same faults, independent of wall-clock time or platform (common/random.h
 // xoshiro streams). Every injected fault is counted per kind and mirrored
-// onto the process-wide "idxsel.rt.fault_injected" counter in IDXSEL_OBS
-// builds.
+// onto the process-wide "idxsel.rt.fault_injected" counter.
 
 #ifndef IDXSEL_RT_FAULT_INJECTION_H_
 #define IDXSEL_RT_FAULT_INJECTION_H_

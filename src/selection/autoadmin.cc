@@ -9,7 +9,7 @@ namespace idxsel::selection {
 
 AutoAdminResult SelectAutoAdmin(WhatIfEngine& engine,
                                 const AutoAdminOptions& options) {
-  IDXSEL_OBS_SPAN(span, "strategy", "autoadmin.select");
+  obs::Span span("strategy", "autoadmin.select");
   Stopwatch watch;
   const workload::Workload& w = engine.workload();
   AutoAdminResult result;
@@ -81,14 +81,12 @@ AutoAdminResult SelectAutoAdmin(WhatIfEngine& engine,
   result.selection.objective =
       engine.WorkloadCost(result.selection.selection);
   result.selection.runtime_seconds = watch.ElapsedSeconds();
-#if defined(IDXSEL_OBS)
   obs::Registry& registry = obs::Registry::Default();
   registry.GetCounter("idxsel.autoadmin.runs")->Add(1);
   registry.GetCounter("idxsel.autoadmin.greedy_rounds")
       ->Add(result.selection.selection.size());
   registry.GetGauge("idxsel.autoadmin.last_candidates")
       ->Set(static_cast<int64_t>(result.candidates.size()));
-#endif
   return result;
 }
 

@@ -126,10 +126,9 @@ SelectionResult Finish(std::string name, WhatIfEngine& engine,
   result.status = timed_out
                       ? Status::Timeout(result.name + ": deadline expired")
                       : Status::Ok();
-  IDXSEL_OBS_ONLY(
-      obs::Registry::Default()
-          .GetCounter("idxsel.heuristics." + result.name + ".runs")
-          ->Add(1);)
+  obs::Registry::Default()
+      .GetCounter("idxsel.heuristics." + result.name + ".runs")
+      ->Add(1);
   return result;
 }
 
@@ -152,7 +151,7 @@ SelectionResult SelectRuleBased(WhatIfEngine& engine,
                                 const CandidateSet& candidates, double budget,
                                 RuleHeuristic heuristic,
                                 const rt::Deadline& deadline) {
-  IDXSEL_OBS_SPAN(span, "strategy", "heuristics.rule_based");
+  obs::Span span("strategy", "heuristics.rule_based");
   Stopwatch watch;
   rt::DeadlinePoller poller(deadline);
   const workload::Workload& workload = engine.workload();
@@ -199,7 +198,7 @@ SelectionResult SelectByBenefit(WhatIfEngine& engine,
                                 const CandidateSet& candidates, double budget,
                                 bool use_skyline,
                                 const rt::Deadline& deadline) {
-  IDXSEL_OBS_SPAN(span, "strategy", "heuristics.by_benefit");
+  obs::Span span("strategy", "heuristics.by_benefit");
   rt::DeadlinePoller poller(deadline);
   const CandidateSet* pool = &candidates;
   CandidateSet filtered;
@@ -229,7 +228,7 @@ SelectionResult SelectByBenefitPerSize(WhatIfEngine& engine,
                                        const CandidateSet& candidates,
                                        double budget,
                                        const rt::Deadline& deadline) {
-  IDXSEL_OBS_SPAN(span, "strategy", "heuristics.by_benefit_per_size");
+  obs::Span span("strategy", "heuristics.by_benefit_per_size");
   Stopwatch watch;
   rt::DeadlinePoller poller(deadline);
   std::vector<std::pair<double, uint32_t>> scored;

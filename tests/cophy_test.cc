@@ -1,5 +1,5 @@
 // Tests for the CoPhy re-implementation: LP statistics, problem building,
-// agreement between the B&B path and the explicit LP, and optimality.
+// and optimality of the branch-and-bound path.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "candidates/candidates.h"
 #include "cophy/cophy.h"
 #include "costmodel/cost_model.h"
-#include "lp/simplex.h"
 #include "workload/scalable_generator.h"
 
 namespace idxsel::cophy {
@@ -62,6 +61,23 @@ TEST(LpStatisticsTest, GrowsLinearlyWithCandidates) {
   const LpStatistics half_stats = ComputeLpStatistics(s.w, half);
   EXPECT_GT(full_stats.num_variables, half_stats.num_variables);
   EXPECT_GT(full_stats.num_constraints, half_stats.num_constraints);
+}
+
+TEST(LpStatisticsTest, SolversCarryTheStatisticsOfTheirCandidates) {
+  TestEnv s;
+  const CandidateSet cands = EnumerateAllCandidates(s.w, 2);
+  const LpStatistics expected = ComputeLpStatistics(s.w, cands);
+  const double budget = s.model->Budget(0.2);
+  const CophyResult one_shot = SolveCophy(*s.engine, cands, budget);
+  const PreparedCophy prepared(*s.engine, cands);
+  const CophyResult reused = prepared.Solve(budget);
+  for (const LpStatistics* got :
+       {&one_shot.lp_stats, &prepared.lp_stats(), &reused.lp_stats}) {
+    EXPECT_EQ(got->num_variables, expected.num_variables);
+    EXPECT_EQ(got->num_constraints, expected.num_constraints);
+    EXPECT_DOUBLE_EQ(got->mean_applicable_candidates,
+                     expected.mean_applicable_candidates);
+  }
 }
 
 TEST(BuildProblemTest, DimensionsAndCoefficients) {
@@ -142,6 +158,26 @@ TEST(SolveCophyTest, ObjectiveMatchesEngineEvaluation) {
               result.objective * 1e-9);
 }
 
+TEST(SolveCophyTest, GapRunBracketsTheExactOptimum) {
+  // A run stopped at a 5 % MIP gap proves a lower bound on the exact
+  // optimum, and its selection lies within the gap above that bound.
+  TestEnv s(20, 10);
+  const CandidateSet cands = EnumerateAllCandidates(s.w, 3);
+  const double budget = s.model->Budget(0.2);
+  const CophyResult exact = SolveCophy(*s.engine, cands, budget);
+  mip::SolveOptions gap_options;
+  gap_options.mip_gap = 0.05;
+  const CophyResult gapped = SolveCophy(*s.engine, cands, budget, gap_options);
+  ASSERT_TRUE(exact.status.ok());
+  ASSERT_TRUE(gapped.status.ok());
+  EXPECT_GT(gapped.best_bound, 0.0);
+  EXPECT_LE(gapped.best_bound, exact.objective * (1.0 + 1e-9));
+  EXPECT_GE(gapped.objective, exact.objective * (1.0 - 1e-9));
+  EXPECT_LE(gapped.objective - gapped.best_bound,
+            (0.05 + 1e-9) * gapped.objective);
+  EXPECT_LE(s.engine->ConfigMemory(gapped.selection), budget + 1e-6);
+}
+
 TEST(SolveCophyTest, DnfOnImpossibleDeadline) {
   TestEnv s(40, 16);
   const CandidateSet cands = EnumerateAllCandidates(s.w, 4);
@@ -169,27 +205,6 @@ TEST(SolveCophyTest, DnfOnExpiredAdvisorDeadline) {
   EXPECT_TRUE(result.dnf);
   EXPECT_EQ(result.status.code(), StatusCode::kTimeout);
   EXPECT_LE(s.engine->ConfigMemory(result.selection), budget + 1e-6);
-}
-
-// The explicit LP relaxation must lower-bound the integer optimum, and the
-// integer optimum must be achievable by an integral LP point.
-TEST(LpRelaxationTest, LowerBoundsIntegerOptimum) {
-  TestEnv s(6, 5);
-  const CandidateSet cands = EnumerateAllCandidates(s.w, 2);
-  const double budget = s.model->Budget(0.2);
-
-  std::vector<uint32_t> x_vars;
-  const lp::Model model =
-      BuildLpRelaxation(*s.engine, cands, budget, &x_vars);
-  EXPECT_EQ(x_vars.size(), cands.size());
-  auto relaxed = lp::SolveLp(model);
-  ASSERT_TRUE(relaxed.ok()) << relaxed.status().ToString();
-
-  const CophyResult integral = SolveCophy(*s.engine, cands, budget);
-  ASSERT_TRUE(integral.status.ok());
-  EXPECT_LE(relaxed->objective, integral.objective + 1e-6);
-  // Relaxation within a factor; for these small instances it is near-tight.
-  EXPECT_GT(relaxed->objective, 0.0);
 }
 
 TEST(PreparedCophyTest, MatchesOneShotSolve) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <span>
+#include <utility>
 
-#include "engine/btree_index.h"
 #include "engine/column_store.h"
 #include "engine/composite_index.h"
 #include "engine/executor.h"
@@ -15,18 +17,24 @@
 namespace idxsel::engine {
 namespace {
 
-/// Ground truth: row-at-a-time evaluation of conjunctive equality.
-uint64_t ReferenceCount(const ColumnTable& table,
-                        const std::vector<Predicate>& predicates) {
-  uint64_t matches = 0;
+/// Ground truth: row-at-a-time evaluation of conjunctive equality; the ids
+/// of the matching rows, ascending.
+std::vector<uint32_t> ReferenceRows(const ColumnTable& table,
+                                    const std::vector<Predicate>& predicates) {
+  std::vector<uint32_t> rows;
   for (uint32_t r = 0; r < table.num_rows(); ++r) {
     bool all = true;
     for (const Predicate& p : predicates) {
       all = all && table.at(p.column, r) == p.value;
     }
-    matches += all;
+    if (all) rows.push_back(r);
   }
-  return matches;
+  return rows;
+}
+
+uint64_t ReferenceCount(const ColumnTable& table,
+                        const std::vector<Predicate>& predicates) {
+  return ReferenceRows(table, predicates).size();
 }
 
 class EngineFixture : public ::testing::Test {
@@ -187,8 +195,8 @@ TEST_P(ExecutorFuzzTest, AllAccessPathsAgree) {
     const uint64_t expected = ReferenceCount(table, predicates);
     EXPECT_EQ(executor.ScanOnly(predicates).matches, expected);
 
-    // Random index over a permutation of some columns; run it through both
-    // physical representations when applicable.
+    // Random index over a permutation of some columns; run it when
+    // applicable.
     std::vector<uint32_t> index_cols;
     for (size_t c = 0; c < num_cols; ++c) {
       index_cols.push_back(static_cast<uint32_t>(c));
@@ -201,11 +209,8 @@ TEST_P(ExecutorFuzzTest, AllAccessPathsAgree) {
     index_cols.resize(static_cast<size_t>(
         rng.UniformInt(1, static_cast<int64_t>(index_cols.size()))));
     const CompositeIndex composite(&table, index_cols);
-    const BTreeIndex btree(&table, index_cols);
     if (Executor::CoverablePrefix(predicates, composite) >= 1) {
       EXPECT_EQ(executor.WithIndex(predicates, composite).matches, expected)
-          << "seed=" << GetParam() << " round=" << round;
-      EXPECT_EQ(executor.WithIndex(predicates, btree).matches, expected)
           << "seed=" << GetParam() << " round=" << round;
     }
   }
@@ -213,6 +218,198 @@ TEST_P(ExecutorFuzzTest, AllAccessPathsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorFuzzTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+// ------------------------------------------------ direct prefix probes
+
+std::vector<uint32_t> Sorted(std::vector<uint32_t> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+// 20'000 rows over small (5), medium (16, 100) and large (2000) domains.
+class CompositeIndexFixture : public ::testing::Test {
+ protected:
+  CompositeIndexFixture()
+      : rng_(11), table_(20'000, {100, 16, 5, 2000}, rng_) {}
+
+  Rng rng_;
+  ColumnTable table_;
+};
+
+TEST_F(CompositeIndexFixture, FullKeysPartitionTheRows) {
+  // Every row sits under exactly one full key of a two-column index.
+  const CompositeIndex index(&table_, {0, 1});
+  std::vector<uint32_t> found;
+  for (uint32_t v0 = 0; v0 < 100; ++v0) {
+    for (uint32_t v1 = 0; v1 < 16; ++v1) {
+      index.LookupPrefix(std::vector<uint32_t>{v0, v1}, &found);
+    }
+  }
+  std::vector<uint32_t> all_rows(table_.num_rows());
+  std::iota(all_rows.begin(), all_rows.end(), 0u);
+  EXPECT_EQ(Sorted(found), all_rows);
+}
+
+TEST_F(CompositeIndexFixture, FullKeyLookupMatchesReference) {
+  const CompositeIndex index(&table_, {0, 1});
+  for (uint32_t v0 = 0; v0 < 100; v0 += 13) {
+    for (uint32_t v1 = 0; v1 < 16; v1 += 5) {
+      std::vector<uint32_t> rows;
+      index.LookupPrefix(std::vector<uint32_t>{v0, v1}, &rows);
+      EXPECT_EQ(Sorted(rows), ReferenceRows(table_, {{0, v0}, {1, v1}}))
+          << v0 << "," << v1;
+    }
+  }
+}
+
+TEST_F(CompositeIndexFixture, PrefixLookupMatchesReference) {
+  // The largest domain leads: a handful of rows per key.
+  const CompositeIndex index(&table_, {3, 0});
+  for (uint32_t v = 0; v < 2000; v += 97) {
+    std::vector<uint32_t> rows;
+    index.LookupPrefix(std::vector<uint32_t>{v}, &rows);
+    EXPECT_EQ(Sorted(rows), ReferenceRows(table_, {{3, v}})) << v;
+  }
+}
+
+TEST_F(CompositeIndexFixture, MissingKeyReturnsNothing) {
+  const CompositeIndex index(&table_, {1, 0});
+  std::vector<uint32_t> rows;
+  index.LookupPrefix(std::vector<uint32_t>{4096}, &rows);  // leading key
+  EXPECT_TRUE(rows.empty());
+  index.LookupPrefix(std::vector<uint32_t>{3, 100}, &rows);  // second key
+  EXPECT_TRUE(rows.empty());
+}
+
+TEST_F(CompositeIndexFixture, FirstAndLastKeyReachable) {
+  const CompositeIndex index(&table_, {2});
+  for (uint32_t v : {0u, 4u}) {  // domain edges of a d=5 column
+    std::vector<uint32_t> rows;
+    index.LookupPrefix(std::vector<uint32_t>{v}, &rows);
+    EXPECT_FALSE(rows.empty()) << v;
+    EXPECT_EQ(Sorted(rows), ReferenceRows(table_, {{2, v}})) << v;
+  }
+}
+
+TEST_F(CompositeIndexFixture, RandomPrefixesOfAThreeColumnKeyMatchReference) {
+  const CompositeIndex index(&table_, {0, 1, 2});
+  const uint32_t domains[] = {100, 16, 5};
+  Rng rng(77);
+  for (int probe = 0; probe < 200; ++probe) {
+    const size_t prefix_len = static_cast<size_t>(rng.UniformInt(1, 3));
+    std::vector<uint32_t> values;
+    std::vector<Predicate> predicates;
+    for (size_t u = 0; u < prefix_len; ++u) {
+      values.push_back(
+          static_cast<uint32_t>(rng.UniformInt(0, domains[u] - 1)));
+      predicates.push_back(Predicate{static_cast<uint32_t>(u), values[u]});
+    }
+    std::vector<uint32_t> rows;
+    index.LookupPrefix(values, &rows);
+    EXPECT_EQ(Sorted(rows), ReferenceRows(table_, predicates))
+        << "probe=" << probe;
+  }
+}
+
+TEST_F(CompositeIndexFixture, MemoryAccountsKeysAndRows) {
+  // The row-id permutation plus one key copy per column, 4 bytes each.
+  const CompositeIndex narrow(&table_, {0});
+  const CompositeIndex wide(&table_, {0, 1, 2});
+  EXPECT_EQ(narrow.memory_bytes(), table_.num_rows() * 2 * sizeof(uint32_t));
+  EXPECT_EQ(wide.memory_bytes(), table_.num_rows() * 4 * sizeof(uint32_t));
+}
+
+TEST_F(CompositeIndexFixture, LookupPrefixAppendsToOutput) {
+  const CompositeIndex index(&table_, {2});
+  std::vector<uint32_t> rows = {123'456'789u};
+  index.LookupPrefix(std::vector<uint32_t>{1}, &rows);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.front(), 123'456'789u);
+  EXPECT_EQ(Sorted(std::vector<uint32_t>(rows.begin() + 1, rows.end())),
+            ReferenceRows(table_, {{2, 1}}));
+}
+
+TEST_F(CompositeIndexFixture, ProbeRunIsOrderedByRemainingKeyColumns) {
+  const CompositeIndex index(&table_, {2, 1, 0});
+  const auto remaining_key_less = [&](uint32_t x, uint32_t y) {
+    return std::pair(table_.at(1, x), table_.at(0, x)) <
+           std::pair(table_.at(1, y), table_.at(0, y));
+  };
+  for (uint32_t v = 0; v < 5; ++v) {
+    const std::span<const uint32_t> run =
+        index.Probe(std::vector<uint32_t>{v});
+    EXPECT_EQ(run.size(), ReferenceCount(table_, {{2, v}})) << v;
+    EXPECT_TRUE(std::is_sorted(run.begin(), run.end(), remaining_key_less))
+        << v;
+  }
+}
+
+TEST_F(CompositeIndexFixture, WorksThroughTheExecutor) {
+  // Each coverable prefix of a three-column key answers like the scan and
+  // touches fewer rows.
+  const Executor executor(&table_, {100, 16, 5, 2000});
+  const CompositeIndex index(&table_, {3, 0, 1});
+  const std::vector<std::vector<Predicate>> queries = {
+      {{3, 42}},                    // prefix 1
+      {{3, 42}, {2, 1}},            // prefix 1 plus a residual
+      {{0, 7}, {3, 42}},            // prefix 2, out of key order
+      {{3, 42}, {0, 7}, {1, 3}},    // the full key
+      {{1, 3}, {3, 1999}, {2, 4}},  // last key value, two residuals
+  };
+  for (const std::vector<Predicate>& predicates : queries) {
+    const ExecutionResult via_index = executor.WithIndex(predicates, index);
+    const ExecutionResult via_scan = executor.ScanOnly(predicates);
+    EXPECT_EQ(via_index.matches, ReferenceCount(table_, predicates));
+    EXPECT_EQ(via_index.matches, via_scan.matches);
+    EXPECT_LT(via_index.rows_touched, via_scan.rows_touched);
+  }
+}
+
+TEST(CompositeIndexSmallTableTest, HandlesFewRows) {
+  Rng rng(5);
+  const ColumnTable tiny(3, {2, 2}, rng);
+  const CompositeIndex index(&tiny, {0, 1});
+  std::vector<uint32_t> found;
+  for (uint32_t v0 = 0; v0 < 2; ++v0) {
+    for (uint32_t v1 = 0; v1 < 2; ++v1) {
+      index.LookupPrefix(std::vector<uint32_t>{v0, v1}, &found);
+    }
+  }
+  // Every row sits under exactly one full key.
+  EXPECT_EQ(Sorted(found), (std::vector<uint32_t>{0, 1, 2}));
+}
+
+// Property sweep: random tables and prefix probes, LookupPrefix vs brute
+// force.
+class CompositeIndexRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompositeIndexRandomTest, RandomProbesMatchReference) {
+  Rng rng(GetParam());
+  const uint64_t rows = static_cast<uint64_t>(500 + rng.UniformInt(0, 1500));
+  const std::vector<uint32_t> domains = {
+      static_cast<uint32_t>(rng.UniformInt(2, 50)),
+      static_cast<uint32_t>(rng.UniformInt(2, 10))};
+  const ColumnTable table(rows, domains, rng);
+  const CompositeIndex index(&table, {0, 1});
+  for (int probe = 0; probe < 50; ++probe) {
+    const size_t len = static_cast<size_t>(rng.UniformInt(1, 2));
+    std::vector<uint32_t> values;
+    std::vector<Predicate> predicates;
+    for (size_t u = 0; u < len; ++u) {
+      // Probe slightly outside the domain too (missing keys).
+      values.push_back(static_cast<uint32_t>(
+          rng.UniformInt(0, domains[u] + 1)));
+      predicates.push_back(Predicate{static_cast<uint32_t>(u), values[u]});
+    }
+    std::vector<uint32_t> rows_found;
+    index.LookupPrefix(values, &rows_found);
+    EXPECT_EQ(Sorted(rows_found), ReferenceRows(table, predicates))
+        << "seed=" << GetParam() << " probe=" << probe;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompositeIndexRandomTest,
+                         ::testing::Range<uint64_t>(1, 11));
 
 // ----------------------------------------------------- measured cost source
 

@@ -3,9 +3,8 @@
 // dispatch level (schema idxsel.journal.v1, doc/observability.md). The suite
 // pins that contract for H6, the advisor portfolio, and the CoPhy/MIP
 // lane, checks that sanitized what-if answers are journaled as
-// rejections under a chaos backend, and exercises Explain() in every
-// build config — including the "observability disabled" stub that
-// -DIDXSEL_ENABLE_OBS=OFF must still compile and return.
+// rejections under a chaos backend, and exercises Explain() with the
+// journal on and off.
 
 #include <gtest/gtest.h>
 
@@ -52,8 +51,7 @@ struct Env {
   }
 };
 
-/// RAII journal enable (restores the previous state; under obs-off
-/// builds SetJournalEnabled is a no-op and journals stay empty).
+/// RAII journal enable (restores the previous state).
 class ScopedJournal {
  public:
   ScopedJournal() : previous_(obs::JournalEnabled()) {
@@ -86,13 +84,8 @@ void CheckJournalInvariant(Env& env, AdvisorOptions options,
     for (const size_t threads : {1u, 8u}) {
       options.threads = threads;
       const std::string bytes = JournalBytes(env, options);
-#if defined(IDXSEL_OBS)
       EXPECT_FALSE(bytes.empty())
           << what << ": journal empty with journaling enabled";
-#else
-      EXPECT_TRUE(bytes.empty())
-          << what << ": obs-off build must produce empty journals";
-#endif
       if (!have_reference) {
         reference = bytes;
         have_reference = true;
@@ -143,8 +136,6 @@ TEST(JournalDeterminismTest, RepeatedRunsAreByteIdentical) {
   const std::string second = JournalBytes(env, options);
   EXPECT_EQ(first, second);
 }
-
-#if defined(IDXSEL_OBS)
 
 TEST(JournalContentTest, H6CommitsCarryWinnersAndObjectives) {
   Env env;
@@ -275,28 +266,6 @@ TEST(ExplainTest, JournalOffRunPointsAtTheEnableSwitch) {
   const std::string explain = rec->Explain(rec->selection.indexes().front());
   EXPECT_NE(explain.find("IDXSEL_JOURNAL"), std::string::npos) << explain;
 }
-
-#else  // !defined(IDXSEL_OBS)
-
-TEST(ExplainTest, ObsOffBuildReturnsWellFormedStub) {
-  Env env;
-  AdvisorOptions options;
-  options.strategy = StrategyKind::kRecursive;
-  options.budget_fraction = 0.4;
-  options.threads = 1;
-  WhatIfEngine engine(&env.w, env.backend.get());
-  const Result<Recommendation> rec = advisor::Recommend(engine, options);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_TRUE(rec->journal.empty());
-  ASSERT_FALSE(rec->selection.empty());
-  const std::string explain = rec->Explain(rec->selection.indexes().front());
-  EXPECT_NE(explain.find("observability disabled"), std::string::npos)
-      << explain;
-  EXPECT_NE(explain.find("IDXSEL_ENABLE_OBS"), std::string::npos)
-      << explain;
-}
-
-#endif  // IDXSEL_OBS
 
 }  // namespace
 }  // namespace idxsel

@@ -103,7 +103,6 @@ TEST(ChaosEquivalenceTest, ParallelStructuralUnderFaultsAndDeadline) {
 
 // --------------------------------------------------------- kernel telemetry
 
-#if defined(IDXSEL_OBS)
 /// Run-report counters of one Recommend() on a fresh engine.
 std::map<std::string, uint64_t> RunCounters(Env& env,
                                             const AdvisorOptions& options) {
@@ -163,7 +162,6 @@ TEST(KernelTelemetryTest, FilteredQueriesDeterministicAcrossThreads) {
     EXPECT_EQ(sa->second, sb->second) << name;
   }
 }
-#endif  // IDXSEL_OBS
 
 // ------------------------------------------------ strategies x keyed memo
 

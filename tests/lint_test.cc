@@ -8,6 +8,8 @@
 #include "idxsel_lint/lint.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -295,7 +297,7 @@ TEST(LintHygieneTest, RawDoubleCompareOnCostFlagged) {
 
 TEST(LintHygieneTest, FloatLiteralCompareFlagged) {
   const auto findings = LintFiles(
-      {Src("lp/x.cc", "bool F(double v) { return v != 0.0; }\n")},
+      {Src("cophy/x.cc", "bool F(double v) { return v != 0.0; }\n")},
       NoOrphan());
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].check, "double-compare");
@@ -358,6 +360,39 @@ TEST(LintOrphanTest, UnreferencedSourceAndLibraryFlagged) {
   const auto checks = Checks(findings);
   // orphan.cc is not compiled; idxsel_engine is not linked by any test.
   EXPECT_EQ(std::count(checks.begin(), checks.end(), "orphan-source"), 2);
+}
+
+TEST(LintOrphanTest, BenchPackageSrcDirectoryIsBenchCode) {
+  // A bench package keeps its sources in its own src/ directory and
+  // compiles them from the CMakeLists.txt one level up. Found under the
+  // `bench` root, bench/pkg/src/x.cc is bench code: the library rule
+  // (every src/ .cc named by its directory's CMakeLists.txt) must not
+  // fire, while the bench-wide double-compare rule still does.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "lint_bench_pkg";
+  fs::remove_all(root);
+  const auto write = [&root](const std::string& rel, const std::string& body) {
+    const fs::path path = root / rel;
+    fs::create_directories(path.parent_path());
+    std::ofstream(path) << body;
+  };
+  write("src/engine/used.cc", "int x;\n");
+  write("src/engine/CMakeLists.txt", "add_library(idxsel_engine used.cc)\n");
+  write("tests/CMakeLists.txt",
+        "target_link_libraries(engine_test PRIVATE idxsel_engine)\n");
+  write("bench/pkg/CMakeLists.txt", "add_executable(x src/x.cc)\n");
+  write("bench/pkg/src/x.cc", "bool F(double v) { return v == 0.0; }\n");
+
+  std::vector<Finding> findings;
+  std::string error;
+  ASSERT_TRUE(LintPaths({(root / "src").string(), (root / "tests").string(),
+                         (root / "bench").string()},
+                        Options{}, &findings, &error))
+      << error;
+  ASSERT_EQ(Checks(findings), std::vector<std::string>{"double-compare"});
+  EXPECT_EQ(findings[0].path, (root / "bench/pkg/src/x.cc").string());
+  EXPECT_EQ(findings[0].line, 1);
+  fs::remove_all(root);
 }
 
 // -- L4: concurrency contracts ----------------------------------------------
@@ -632,7 +667,7 @@ TEST(LintSuppressionTest, SameLineSuppressionWithReasonSilences) {
 
 TEST(LintSuppressionTest, PrecedingLineSuppressionSilences) {
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "// idxsel-lint: allow(double-compare) reason=exact sparsity "
            "test\n"
            "bool F(double v) { return v == 0.0; }\n")},
@@ -642,7 +677,7 @@ TEST(LintSuppressionTest, PrecedingLineSuppressionSilences) {
 
 TEST(LintSuppressionTest, MissingReasonIsItsOwnFindingAndDoesNotSilence) {
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "bool F(double v) { return v == 0.0; }  "
            "// idxsel-lint: allow(double-compare)\n")},
       NoOrphan());
@@ -660,7 +695,7 @@ TEST(LintSuppressionTest, MissingReasonIsItsOwnFindingAndDoesNotSilence) {
 
 TEST(LintSuppressionTest, WrongCheckNameDoesNotSilence) {
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "bool F(double v) { return v == 0.0; }  "
            "// idxsel-lint: allow(unordered-iter) reason=wrong check\n")},
       NoOrphan());
@@ -684,7 +719,7 @@ TEST(LintSuppressionTest, WrappedReasonInCommentBlockStillSilences) {
   // A suppression whose reason wraps onto a second comment line attaches
   // through the whole contiguous comment block above the finding.
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "// idxsel-lint: allow(double-compare) reason=exact sparsity\n"
            "// test, the solver zeroes eliminated columns bit-exactly\n"
            "bool F(double v) { return v == 0.0; }\n")},
@@ -694,7 +729,7 @@ TEST(LintSuppressionTest, WrappedReasonInCommentBlockStillSilences) {
 
 TEST(LintSuppressionTest, BlankLineBreaksTheCommentBlock) {
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "// idxsel-lint: allow(double-compare) reason=stranded comment\n"
            "\n"
            "bool F(double v) { return v == 0.0; }\n")},
@@ -720,7 +755,7 @@ TEST(LintSuppressionTest, ReasonedSuppressionThatSilencesNothingIsStale) {
 
 TEST(LintSuppressionTest, UsedSuppressionIsNotStale) {
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "// idxsel-lint: allow(double-compare) reason=exact sparsity\n"
            "bool F(double v) { return v == 0.0; }\n")},
       NoOrphan());
@@ -733,7 +768,7 @@ TEST(LintSkipTest, SkippedCheckDropsItsFindings) {
   Options options = NoOrphan();
   options.skip = {"double-compare"};
   const auto findings = LintFiles(
-      {Src("lp/x.cc", "bool F(double v) { return v == 0.0; }\n")}, options);
+      {Src("cophy/x.cc", "bool F(double v) { return v == 0.0; }\n")}, options);
   EXPECT_THAT(findings, IsEmpty());
 }
 
@@ -743,7 +778,7 @@ TEST(LintSkipTest, SuppressionOfSkippedCheckIsNotStale) {
   Options options = NoOrphan();
   options.skip = {"double-compare"};
   const auto findings = LintFiles(
-      {Src("lp/x.cc",
+      {Src("cophy/x.cc",
            "// idxsel-lint: allow(double-compare) reason=exact sparsity\n"
            "bool F(double v) { return v == 0.0; }\n")},
       options);

@@ -1,10 +1,13 @@
 // Tests for the branch-and-bound solver: optimality against exhaustive
-// enumeration, gap/time-limit semantics, and the lazy greedy.
+// enumeration and random feasible samples, gap/time-limit semantics, and
+// the lazy greedy.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "common/deadline.h"
 #include "common/random.h"
@@ -173,6 +176,29 @@ TEST(BranchAndBoundTest, GreedyDensityTrapRequiresSearch) {
   EXPECT_EQ(r.selected[0], 1u);
 }
 
+TEST(BranchAndBoundTest, DegenerateProblemTerminates) {
+  // Three groups of four identical candidates: every density ties, and one
+  // pick per group zeroes its copies' marginals.
+  Problem p;
+  p.query_weight = {1.0, 1.0, 1.0};
+  p.base_cost = {10.0, 10.0, 10.0};
+  for (uint32_t k = 0; k < 12; ++k) {
+    p.candidate_costs.push_back({{k % 3, 4.0}});
+    p.candidate_memory.push_back(1.0);
+  }
+  p.budget = 2.0;
+  const double brute = BruteForceOptimum(p);
+  p.Canonicalize();
+  const SolveResult r = Solve(p);
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_DOUBLE_EQ(r.objective, 18.0);  // two queries at 4, one at 10
+  EXPECT_NEAR(r.objective, brute, 1e-9);
+  ASSERT_EQ(r.selected.size(), 2u);
+  EXPECT_NE(p.candidate_costs[r.selected[0]][0].query,
+            p.candidate_costs[r.selected[1]][0].query);
+}
+
 TEST(BranchAndBoundTest, TimeLimitReportsTimeoutWithIncumbent) {
   Problem p = RandomProblem(3, 60, 40);
   p.Canonicalize();
@@ -283,6 +309,109 @@ TEST_P(BnbOptimalityTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BnbOptimalityTest,
                          ::testing::Range<uint64_t>(1, 25));
+
+// Property sweep on instances too large for 2^K: the solver's selection is
+// feasible and priced right, and no feasible selection beats it — neither
+// the density greedy, nor a large random sample, nor any selection one add,
+// drop or swap away.
+class BnbRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BnbRandomTest, BeatsRandomFeasibleSamples) {
+  Problem p = RandomProblem(GetParam(), /*queries=*/40, /*candidates=*/28);
+  p.Canonicalize();
+  const SolveResult r = Solve(p);
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_LE(Memory(p, r.selected), p.budget + 1e-9);
+  EXPECT_NEAR(Evaluate(p, r.selected), r.objective, 1e-6);
+  EXPECT_LE(r.best_bound, r.objective + 1e-9);
+  EXPECT_LE(r.objective, Evaluate(p, GreedyByDensity(p)) + 1e-9);
+
+  // A random feasible selection: visit the candidates in shuffled order and
+  // keep each one with probability 0.7 if it still fits.
+  Rng rng(GetParam() + 1000);
+  std::vector<uint32_t> order(p.num_candidates());
+  std::iota(order.begin(), order.end(), 0u);
+  for (int sample = 0; sample < 2000; ++sample) {
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                  0, static_cast<int64_t>(i) - 1))]);
+    }
+    std::vector<uint32_t> selection;
+    double used = 0.0;
+    for (uint32_t k : order) {
+      if (rng.NextDouble() < 0.7 && used + p.candidate_memory[k] <= p.budget) {
+        selection.push_back(k);
+        used += p.candidate_memory[k];
+      }
+    }
+    EXPECT_GE(Evaluate(p, selection), r.objective - 1e-6)
+        << "seed=" << GetParam() << " sample=" << sample;
+  }
+
+  // Every feasible selection one add, drop or swap away from the solver's.
+  std::vector<uint32_t> outside;
+  for (uint32_t k = 0; k < p.num_candidates(); ++k) {
+    if (std::find(r.selected.begin(), r.selected.end(), k) ==
+        r.selected.end()) {
+      outside.push_back(k);
+    }
+  }
+  const auto expect_no_better = [&](const std::vector<uint32_t>& neighbour) {
+    if (Memory(p, neighbour) > p.budget) return;
+    EXPECT_GE(Evaluate(p, neighbour), r.objective - 1e-6)
+        << "seed=" << GetParam();
+  };
+  for (size_t i = 0; i <= r.selected.size(); ++i) {
+    std::vector<uint32_t> base = r.selected;
+    if (i < base.size()) {
+      base.erase(base.begin() + static_cast<std::ptrdiff_t>(i));
+      expect_no_better(base);
+    }
+    for (uint32_t k : outside) {
+      std::vector<uint32_t> neighbour = base;
+      neighbour.push_back(k);
+      expect_no_better(neighbour);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BnbRandomTest,
+                         ::testing::Range<uint64_t>(1, 13));
+
+// Property sweep for the density greedy on its own: its selection is
+// sorted, duplicate-free and within budget; it is maximal (no affordable
+// candidate it left out still lowers the objective); and it never beats the
+// exact optimum.
+class GreedyRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GreedyRandomTest, FeasibleMaximalAndNeverBelowOptimum) {
+  Problem p = RandomProblem(GetParam() + 100, /*queries=*/30,
+                            /*candidates=*/20);
+  p.Canonicalize();
+  const std::vector<uint32_t> greedy = GreedyByDensity(p);
+  EXPECT_TRUE(std::is_sorted(greedy.begin(), greedy.end()));
+  EXPECT_EQ(std::adjacent_find(greedy.begin(), greedy.end()), greedy.end());
+  const double used = Memory(p, greedy);
+  EXPECT_LE(used, p.budget + 1e-9);
+
+  const double greedy_cost = Evaluate(p, greedy);
+  for (uint32_t k = 0; k < p.num_candidates(); ++k) {
+    if (std::binary_search(greedy.begin(), greedy.end(), k)) continue;
+    if (used + p.candidate_memory[k] > p.budget) continue;
+    std::vector<uint32_t> extended = greedy;
+    extended.push_back(k);
+    EXPECT_GE(Evaluate(p, extended), greedy_cost - 1e-6)
+        << "seed=" << GetParam() << " k=" << k;
+  }
+
+  const SolveResult exact = Solve(p);
+  ASSERT_TRUE(exact.status.ok());
+  EXPECT_GE(greedy_cost, exact.objective - 1e-9) << "seed=" << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GreedyRandomTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace idxsel::mip

@@ -419,8 +419,6 @@ class ObsAdvisorTest : public ::testing::Test {
   std::unique_ptr<costmodel::WhatIfEngine> engine_;
 };
 
-#if defined(IDXSEL_OBS)
-
 TEST_F(ObsAdvisorTest, RecommendProducesSchemaValidReport) {
   SetEnabled(true);
   Tracer::Default().Clear();
@@ -502,8 +500,6 @@ TEST_F(ObsAdvisorTest, RuntimeDisabledRunRecordsNoSpans) {
                 "idxsel.whatif.backend_latency_ns"),
             0u);
 }
-
-#endif  // defined(IDXSEL_OBS)
 
 }  // namespace
 }  // namespace idxsel::obs

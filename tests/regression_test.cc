@@ -9,12 +9,10 @@
 
 #include "advisor/advisor.h"
 #include "candidates/candidates.h"
-#include "cophy/cophy.h"
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/reconfiguration.h"
 #include "engine/measured_cost.h"
-#include "lp/simplex.h"
 #include "mip/branch_and_bound.h"
 #include "selection/shuffle.h"
 #include "workload/scalable_generator.h"
@@ -213,23 +211,6 @@ TEST(ShuffleWritesTest, PenaltiesEnterTheShuffleObjective) {
   EXPECT_NEAR(r.selection.objective,
               env.engine->WorkloadCost(r.selection.selection),
               std::max(1.0, r.selection.objective) * 1e-9);
-}
-
-// --------------------------------------------------- LP relaxation values
-
-TEST(LpRelaxationValuesTest, XVariablesStayInUnitBox) {
-  Env env(3);
-  const CandidateSet cands = EnumerateAllCandidates(env.w, 2);
-  if (cands.size() > 40) GTEST_SKIP() << "dense simplex would be slow";
-  std::vector<uint32_t> x_vars;
-  const lp::Model model = cophy::BuildLpRelaxation(
-      *env.engine, cands, env.model->Budget(0.2), &x_vars);
-  auto solved = lp::SolveLp(model);
-  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
-  for (uint32_t x : x_vars) {
-    EXPECT_GE(solved->values[x], -1e-9);
-    EXPECT_LE(solved->values[x], 1.0 + 1e-9);
-  }
 }
 
 }  // namespace

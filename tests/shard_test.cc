@@ -447,11 +447,7 @@ TEST(ShardedDeterminismTest, MatrixShardsThreadsDispatchByteIdentical) {
         const std::string tag = "shards=" + std::to_string(shards) +
                                 " threads=" + std::to_string(threads) +
                                 " scalar=" + (force_scalar ? "1" : "0");
-#if defined(IDXSEL_OBS)
         EXPECT_FALSE(journal.empty()) << tag;
-#else
-        EXPECT_TRUE(journal.empty()) << tag;  // obs-off builds journal nothing
-#endif
         if (!have_ref) {
           have_ref = true;
           ref = *got;

@@ -77,7 +77,7 @@ struct Env {
 };
 
 /// Records journal entries for the duration of one run so the byte-level
-/// journal comparison has something to compare (no-op with obs off).
+/// journal comparison has something to compare.
 class ScopedJournal {
  public:
   ScopedJournal() : previous_(obs::JournalEnabled()) {

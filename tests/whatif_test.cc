@@ -134,7 +134,6 @@ TEST_F(WhatIfFixture, ResetStatsZeroesCounters) {
   EXPECT_EQ(engine.stats().cache_hits, 0u);
 }
 
-#if defined(IDXSEL_OBS)
 TEST_F(WhatIfFixture, ResetStatsKeepsCacheGaugesInSyncWithLiveCaches) {
   // Regression: ResetStats() resets *call accounting* only. The cache-size
   // gauges mirror live cache contents and must survive a stats reset, then
@@ -175,7 +174,6 @@ TEST_F(WhatIfFixture, ResetStatsKeepsCacheGaugesInSyncWithLiveCaches) {
   EXPECT_EQ(cost_entries->Value(), cost_before);
   EXPECT_EQ(config_entries->Value(), config_before);
 }
-#endif  // defined(IDXSEL_OBS)
 
 TEST_F(WhatIfFixture, ConfigCostMatchesMultiIndexModel) {
   WhatIfEngine engine(&w_, backend_.get());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -35,27 +36,39 @@ std::vector<std::string> Segments(const std::string& path) {
 
 enum class Scope { kSrc, kTests, kBench, kTools, kExamples, kOther };
 
-/// Classifies by the *last* matching path segment, so absolute paths
-/// (/home/x/repo/src/core/a.cc) and golden-test temp trees classify alike.
-Scope ScopeOf(const std::vector<std::string>& segs) {
-  for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
-    if (*it == "src") return Scope::kSrc;
-    if (*it == "tests") return Scope::kTests;
-    if (*it == "bench") return Scope::kBench;
-    if (*it == "tools") return Scope::kTools;
-    if (*it == "examples") return Scope::kExamples;
-  }
+/// The tree a directory name stands for, or kOther.
+Scope TreeNamed(const std::string& seg) {
+  if (seg == "src") return Scope::kSrc;
+  if (seg == "tests") return Scope::kTests;
+  if (seg == "bench") return Scope::kBench;
+  if (seg == "tools") return Scope::kTools;
+  if (seg == "examples") return Scope::kExamples;
   return Scope::kOther;
+}
+
+/// Index of the segment that names the file's tree, or segs.size() when
+/// none does. The first `root_len` segments are the root argument the file
+/// was found under, and the innermost tree name among them wins: a file
+/// under `bench` stays in bench even when a deeper directory is called
+/// src (bench/e2e/src/a.cc). A root above every tree ("." or the
+/// repository) defers to the first tree name below it. A file that is its
+/// own root (root_len == segs.size()) classifies by its innermost tree
+/// name, so absolute paths (/home/x/repo/src/core/a.cc) and golden-test
+/// trees classify alike.
+size_t TreeSegment(const std::vector<std::string>& segs, size_t root_len) {
+  for (size_t i = root_len; i-- > 0;) {
+    if (TreeNamed(segs[i]) != Scope::kOther) return i;
+  }
+  for (size_t i = root_len; i < segs.size(); ++i) {
+    if (TreeNamed(segs[i]) != Scope::kOther) return i;
+  }
+  return segs.size();
 }
 
 /// Module directory under src/ ("core", "obs", ...), or "" outside src/
 /// (or for files sitting directly in src/ with no module directory).
-std::string ModuleOf(const std::vector<std::string>& segs) {
-  for (size_t i = segs.size(); i-- > 0;) {
-    if (segs[i] == "src") {
-      return i + 2 < segs.size() ? segs[i + 1] : std::string();
-    }
-  }
+std::string ModuleOf(const std::vector<std::string>& segs, size_t tree) {
+  if (tree + 2 < segs.size() && segs[tree] == "src") return segs[tree + 1];
   return "";
 }
 
@@ -77,7 +90,6 @@ const std::map<std::string, std::vector<std::string>>& LayeringDag() {
       {"exec", {"common"}},
       {"workload", {"common"}},
       {"kernel", {"common", "workload"}},
-      {"lp", {"common"}},
       {"mip", {"common", "obs", "exec"}},
       {"costmodel", {"common", "workload", "kernel", "obs", "exec"}},
       {"audit", {"common", "workload", "kernel", "costmodel", "exec"}},
@@ -90,7 +102,7 @@ const std::map<std::string, std::vector<std::string>>& LayeringDag() {
         "candidates"}},
       {"cophy",
        {"common", "workload", "kernel", "costmodel", "obs", "exec",
-        "candidates", "lp", "mip"}},
+        "candidates", "mip"}},
       {"core",
        {"common", "workload", "kernel", "costmodel", "obs", "exec", "audit"}},
       {"frontier",
@@ -101,7 +113,7 @@ const std::map<std::string, std::vector<std::string>>& LayeringDag() {
        {"common", "workload", "costmodel", "exec", "core"}},
       {"advisor",
        {"common", "workload", "kernel", "costmodel", "obs", "exec", "rt",
-        "audit", "candidates", "lp", "mip", "cophy", "selection", "core",
+        "audit", "candidates", "mip", "cophy", "selection", "core",
         "shard"}},
       {"serve", {"common", "workload", "costmodel", "rt", "advisor", "shard"}},
   };
@@ -488,8 +500,8 @@ void CheckIncludeCycles(Context* ctx) {
 /// telemetry::EmitJournal (common/telemetry.h); only obs (the sink) and
 /// advisor (JournalScope owner, Recommendation::journal) may touch the
 /// obs::Journal* types or include obs/journal.h. Direct consumption from
-/// an emitting layer would bypass the run scoping and the obs-off
-/// compile gate — see doc/observability.md ("Selection journal").
+/// an emitting layer would bypass the run scoping and the journal's
+/// runtime switch — see doc/observability.md ("Selection journal").
 void CheckJournalBridge(Context* ctx) {
   for (const FileView& f : ctx->files) {
     if (f.is_cmake || f.scope != Scope::kSrc) continue;
@@ -812,7 +824,10 @@ std::string TokenAfter(const std::string& s, size_t begin) {
 
 void CheckDoubleCompare(Context* ctx) {
   for (const FileView& f : ctx->files) {
-    if (f.is_cmake || f.scope != Scope::kSrc) continue;
+    // Library and bench code: the benches compute the reported figures.
+    if (f.is_cmake || (f.scope != Scope::kSrc && f.scope != Scope::kBench)) {
+      continue;
+    }
     // The one approved home for raw FP equality, and the generic CHECK
     // macros (whose ==/!= instantiate over every comparable type).
     if (EndsWith(f.path, "common/float_cmp.h") ||
@@ -1796,17 +1811,29 @@ const std::vector<std::string>& KnownChecks() {
   return checks;
 }
 
-std::vector<Finding> LintFiles(const std::vector<FileInput>& files,
-                               const Options& options) {
+namespace {
+
+/// LintFiles, with root_lens[i] the number of leading path segments of
+/// files[i] that come from the root argument it was found under (see
+/// TreeSegment). Files past the end of root_lens are their own root.
+std::vector<Finding> LintRooted(const std::vector<FileInput>& files,
+                                const std::vector<size_t>& root_lens,
+                                const Options& options) {
   Context ctx;
   ctx.options = options;
   ctx.files.reserve(files.size());
-  for (const FileInput& in : files) {
+  for (size_t i = 0; i < files.size(); ++i) {
+    const FileInput& in = files[i];
     FileView view;
     view.path = Normalize(in.path);
     view.segs = Segments(view.path);
-    view.scope = ScopeOf(view.segs);
-    view.module = ModuleOf(view.segs);
+    const size_t root_len =
+        std::min(i < root_lens.size() ? root_lens[i] : view.segs.size(),
+                 view.segs.size());
+    const size_t tree = TreeSegment(view.segs, root_len);
+    view.scope = tree < view.segs.size() ? TreeNamed(view.segs[tree])
+                                         : Scope::kOther;
+    view.module = ModuleOf(view.segs, tree);
     view.is_cmake = EndsWith(view.path, "CMakeLists.txt");
     BuildView(in.content, &view);
     ctx.files.push_back(std::move(view));
@@ -1842,12 +1869,22 @@ std::vector<Finding> LintFiles(const std::vector<FileInput>& files,
   return ctx.findings;
 }
 
+}  // namespace
+
+std::vector<Finding> LintFiles(const std::vector<FileInput>& files,
+                               const Options& options) {
+  return LintRooted(files, {}, options);
+}
+
 bool LintPaths(const std::vector<std::string>& paths, const Options& options,
                std::vector<Finding>* findings, std::string* error) {
   namespace fs = std::filesystem;
   std::vector<FileInput> inputs;
+  std::vector<size_t> root_lens;
   std::set<std::string> seen;
-  auto add_file = [&](const fs::path& p) -> bool {
+  // `root_len`: segments of the directory argument the file was found
+  // under; SIZE_MAX for a file that is its own root.
+  auto add_file = [&](const fs::path& p, size_t root_len) -> bool {
     const std::string norm = Normalize(p.string());
     if (!seen.insert(norm).second) return true;
     std::ifstream in(p, std::ios::binary);
@@ -1858,6 +1895,7 @@ bool LintPaths(const std::vector<std::string>& paths, const Options& options,
     std::ostringstream ss;
     ss << in.rdbuf();
     inputs.push_back({norm, ss.str()});
+    root_lens.push_back(root_len);
     return true;
   };
   auto wanted = [](const fs::path& p) {
@@ -1868,10 +1906,11 @@ bool LintPaths(const std::vector<std::string>& paths, const Options& options,
     const fs::path p(raw);
     std::error_code ec;
     if (fs::is_directory(p, ec)) {
+      const size_t root_len = Segments(Normalize(raw)).size();
       for (auto it = fs::recursive_directory_iterator(p, ec);
            !ec && it != fs::recursive_directory_iterator(); ++it) {
         if (it->is_regular_file(ec) && wanted(it->path())) {
-          if (!add_file(it->path())) return false;
+          if (!add_file(it->path(), root_len)) return false;
         }
       }
       // A "src" root implies the sibling tests/CMakeLists.txt matters for
@@ -1879,17 +1918,17 @@ bool LintPaths(const std::vector<std::string>& paths, const Options& options,
       if (p.filename() == "src") {
         const fs::path tests = p.parent_path() / "tests" / "CMakeLists.txt";
         if (fs::exists(tests, ec)) {
-          if (!add_file(tests)) return false;
+          if (!add_file(tests, SIZE_MAX)) return false;
         }
       }
     } else if (fs::is_regular_file(p, ec)) {
-      if (!add_file(p)) return false;
+      if (!add_file(p, SIZE_MAX)) return false;
     } else {
       if (error != nullptr) *error = "no such file or directory: " + raw;
       return false;
     }
   }
-  *findings = LintFiles(inputs, options);
+  *findings = LintRooted(inputs, root_lens, options);
   return true;
 }
 

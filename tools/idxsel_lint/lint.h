@@ -24,8 +24,8 @@
 //                           src/core, src/selection, src/mip — selection
 //                           decisions iterate deterministic orders
 //   L3  double-compare     raw ==/!= on cost-like doubles or float
-//                          literals outside the approved helpers
-//                          (common/float_cmp.h)
+//                          literals in src/ and bench/ outside the
+//                          approved helpers (common/float_cmp.h)
 //       missing-check-include  IDXSEL_CHECK*/IDXSEL_DCHECK* used without
 //                              common/check.h in the include closure
 //       orphan-source      src/ .cc not compiled into its module library,
@@ -92,16 +92,21 @@ struct Options {
 };
 
 /// Runs every check over the given in-memory files. CMakeLists.txt inputs
-/// feed the build-graph checks; all other inputs are treated as C++.
-/// Findings come back sorted by (path, line, check).
+/// feed the build-graph checks; all other inputs are treated as C++. Each
+/// file belongs to the tree (src, tests, bench, tools, examples) named by
+/// the innermost such directory in its path. Findings come back sorted by
+/// (path, line, check).
 std::vector<Finding> LintFiles(const std::vector<FileInput>& files,
                                const Options& options);
 
 /// Filesystem front-end: walks the given files/directories (collecting
 /// .cc/.h/CMakeLists.txt; for a directory root "x/src" the sibling
 /// "x/tests/CMakeLists.txt" is pulled in too, so the orphan-source check
-/// sees the test link graph), then delegates to LintFiles. Returns false
-/// and sets *error on I/O failure.
+/// sees the test link graph), then runs the checks as LintFiles does,
+/// except that a file found under a directory argument belongs to the
+/// tree that argument names: bench/e2e/src/a.cc found under "bench" is
+/// bench code, not a library source. Returns false and sets *error on I/O
+/// failure.
 bool LintPaths(const std::vector<std::string>& paths, const Options& options,
                std::vector<Finding>* findings, std::string* error);
 
