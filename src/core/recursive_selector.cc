@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "audit/auditor.h"
 #include "common/check.h"
@@ -132,24 +136,35 @@ class Runner {
     if (threads_ > 1) pool_.emplace(threads_);
   }
 
+  /// Algorithm 1 to completion: setup, then one Propose/Commit pair per
+  /// construction step — the same loop RecursiveSession steps by hand.
   RecursiveResult Run() {
     obs::Span run_span("selector", "h6.run");
-    Stopwatch watch;
+    if (!Start()) return Finish();
+    while (result_.trace.size() < opts_.max_steps && !poller_.Expired()) {
+      obs::Span round_span("selector", "h6.round");
+      round_span.SetArg("round", static_cast<double>(result_.trace.size()));
+      if (!Propose(opts_.budget)) break;
+      Commit();
+    }
+    return Finish();
+  }
+
+  /// Setup: base costs, interned singles and the step-2 ranking. False
+  /// when the deadline was dead on arrival (the advisor spent it all
+  /// upstream); the run then returns the empty, trivially feasible
+  /// incumbent without touching the engine.
+  bool Start() {
     // Sampled once per run: a sink installed mid-run must not make later
     // rounds journal while earlier ones did not (or vice versa), which
     // would break byte-identity between otherwise identical runs.
     journal_ = telemetry::JournalActive();
-
-    // Dead-on-arrival budgets (advisor spent it all upstream) return the
-    // empty — trivially feasible — incumbent without touching the engine.
     if (opts_.deadline.expired()) {
-      RecursiveResult result;
-      result.status = Status::Timeout("recursive selector: deadline expired");
-      result.runtime_seconds = watch.ElapsedSeconds();
-      return result;
+      dead_on_arrival_ = true;
+      return false;
     }
 
-    const uint64_t calls_before = engine_.stats().calls;
+    calls_before_ = engine_.stats().calls;
 
     best_cost_.resize(w_.num_queries());
     second_cost_.assign(w_.num_queries(),
@@ -157,6 +172,8 @@ class Runner {
     best_owner_.assign(w_.num_queries(), kNoOwner);
     single_costs_.resize(w_.num_attributes());
     single_costs_ready_.assign(w_.num_attributes(), 0);
+    single_selected_.assign(w_.num_attributes(), 0);
+    attr_marked_.assign(w_.num_attributes(), 0);
     freq_.resize(w_.num_queries());
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
       freq_[j] = w_.query(j).frequency;
@@ -175,104 +192,148 @@ class Runner {
     }
 
     RankSingles();
+    single_moves_.resize(eligible_singles_.size());
+    single_has_move_.assign(eligible_singles_.size(), 0);
+    return true;
+  }
 
-    RecursiveResult result;
-    while (result.trace.size() < opts_.max_steps && !poller_.Expired()) {
-      obs::Span round_span("selector", "h6.round");
-      round_span.SetArg("round", static_cast<double>(result.trace.size()));
-      Move best;
-      Move runner_up;
-      if (journal_) ResetRoundLog();
-      if (opts_.multi_index_eval) {
-        EvaluateNewSinglesMulti(&best, &runner_up);
-        EvaluateAppendsMulti(&best, &runner_up);
-      } else {
-        EvaluateNewSingles(&best, &runner_up);
-        EvaluateAppends(&best, &runner_up);
-        if (opts_.pair_steps) EvaluatePairs(&best, &runner_up);
-      }
-      // A round cut short by the deadline saw only a prefix of the moves;
-      // committing its "best" would bias construction toward whatever the
-      // enumeration happened to visit first. Keep the pre-round incumbent.
-      if (poller_.expired()) break;
-      if (!best.valid || best.ratio <= opts_.min_ratio) {
-        stop_reason_ = best.valid ? "min-ratio" : "no-eligible-move";
-        break;
-      }
-      // Candidates travel as interned ids; the one committed (and the
-      // traced runner-up) are the only ones ever materialized.
-      MaterializeMove(&best);
-      MaterializeMove(&runner_up);
-      ++committed_rounds_;
-      if (best.kind == StepKind::kAppend ||
-          best.kind == StepKind::kAppendPair) {
-        ++append_steps_;
-      } else {
-        ++create_steps_;
-      }
+  /// Folds the next round's moves under `budget` into best_/runner_up_;
+  /// true iff a move qualifies for commit. The first call after a commit
+  /// evaluates the round (re-evaluating only the units the commit made
+  /// stale); further calls — a shard arbiter clamping the budget — only
+  /// re-fold the cached moves, because the budget acts solely as a filter
+  /// in Consider. False on deadline expiry too (see expired()).
+  bool Propose(double budget) {
+    if (!round_ready_) {
+      EvaluateRound();
+      round_ready_ = true;
+    }
+    // A round cut short by the deadline saw only a prefix of the moves;
+    // committing its "best" would bias construction toward whatever the
+    // enumeration happened to visit first. Keep the pre-round incumbent.
+    if (poller_.expired()) return false;
+    FoldRound(budget);
+    if (!best_.valid || best_.ratio <= opts_.min_ratio) {
+      stop_reason_ = best_.valid ? "min-ratio" : "no-eligible-move";
+      return false;
+    }
+    return true;
+  }
 
-      const double objective_before = objective_ + ReconfigTotal();
-      if (opts_.multi_index_eval) {
-        CommitMulti(best);
-      } else {
-        Commit(best);
-      }
-      const double objective_after = objective_ + ReconfigTotal();
-
-      // End-of-round is the auditor's quiescent point: the pool's lanes
-      // have joined and the commit's dense-row inheritance is complete, so
-      // dense tables and hashed caches must agree exactly here. Debug
-      // builds and the sanitizer CI leg (IDXSEL_AUDIT=1 env) run this.
-      if (audit::Enabled()) {
-        const audit::InvariantAuditor auditor(&engine_);
-        audit::InvariantAuditor::CheckClean(auditor.AuditAll());
-      }
-
-      if (journal_) {
-        EmitCommitRecord(best, runner_up, objective_before, objective_after);
-        // A max-steps exit skips the next round's reset; clear here so the
-        // stop record never re-lists rejects the commit already carries.
-        ResetRoundLog();
-      }
-
-      ConstructionStep step;
-      step.kind = best.kind;
-      if (best.kind == StepKind::kAppend ||
-          best.kind == StepKind::kAppendPair) {
-        step.before = replaced_;
-      }
-      step.after = best.after;
-      step.objective_before = objective_before;
-      step.objective_after = objective_after;
-      step.memory_delta = best.memory_delta;
-      step.ratio = best.ratio;
-      result.trace.push_back(step);
-      if (runner_up.valid) {
-        ConstructionStep alt;
-        alt.kind = runner_up.kind;
-        alt.after = runner_up.after;
-        alt.memory_delta = runner_up.memory_delta;
-        alt.ratio = runner_up.ratio;
-        result.runners_up.push_back(alt);
-      }
-      if (opts_.prune_unused) PruneUnused(&result);
-      result.frontier.emplace_back(used_memory_, objective_);
+  /// Commits the move the last successful Propose folded.
+  void Commit() {
+    IDXSEL_CHECK(round_ready_ && best_.valid);
+    // Candidates travel as interned ids; the one committed (and the
+    // traced runner-up) are the only ones ever materialized.
+    MaterializeMove(&best_);
+    MaterializeMove(&runner_up_);
+    ++committed_rounds_;
+    if (best_.kind == StepKind::kAppend ||
+        best_.kind == StepKind::kAppendPair) {
+      ++append_steps_;
+    } else {
+      ++create_steps_;
     }
 
+    const double objective_before = objective_ + ReconfigTotal();
+    if (opts_.multi_index_eval) {
+      CommitMulti(best_);
+    } else {
+      CommitMove(best_);
+    }
+    const double objective_after = objective_ + ReconfigTotal();
+
+    // End-of-round is the auditor's quiescent point: the pool's lanes
+    // have joined and the commit's dense-row inheritance is complete, so
+    // dense tables and hashed caches must agree exactly here. Debug
+    // builds and the sanitizer CI leg (IDXSEL_AUDIT=1 env) run this.
+    if (audit::Enabled()) {
+      const audit::InvariantAuditor auditor(&engine_);
+      audit::InvariantAuditor::CheckClean(auditor.AuditAll());
+    }
+
+    if (journal_) {
+      EmitCommitRecord(best_, runner_up_, objective_before, objective_after);
+      // A max-steps exit skips the next round's reset; clear here so the
+      // stop record never re-lists rejects the commit already carries.
+      ResetRoundLog();
+    }
+
+    ConstructionStep step;
+    step.kind = best_.kind;
+    if (best_.kind == StepKind::kAppend ||
+        best_.kind == StepKind::kAppendPair) {
+      step.before = replaced_;
+    }
+    step.after = best_.after;
+    step.objective_before = objective_before;
+    step.objective_after = objective_after;
+    step.memory_delta = best_.memory_delta;
+    step.ratio = best_.ratio;
+    result_.trace.push_back(step);
+    if (runner_up_.valid) {
+      ConstructionStep alt;
+      alt.kind = runner_up_.kind;
+      alt.after = runner_up_.after;
+      alt.memory_delta = runner_up_.memory_delta;
+      alt.ratio = runner_up_.ratio;
+      result_.runners_up.push_back(alt);
+    }
+    if (opts_.prune_unused) PruneUnused(&result_);
+    result_.frontier.emplace_back(used_memory_, objective_);
+    round_ready_ = false;
+  }
+
+  /// The move the last successful Propose folded, as a trace step (kind,
+  /// before, after, memory delta, ratio; no objectives yet).
+  ConstructionStep Proposal() {
+    MaterializeMove(&best_);
+    ConstructionStep step;
+    step.kind = best_.kind;
+    if (best_.kind == StepKind::kAppend ||
+        best_.kind == StepKind::kAppendPair) {
+      step.before = selected_[best_.selected_pos];
+    }
+    step.after = best_.after;
+    step.memory_delta = best_.memory_delta;
+    step.ratio = best_.ratio;
+    return step;
+  }
+
+  bool expired() const { return dead_on_arrival_ || poller_.expired(); }
+
+  /// Stop record, repair pass and the result; publishes the run's metrics.
+  RecursiveResult Finish() {
+    if (dead_on_arrival_) {
+      result_.status = Status::Timeout("recursive selector: deadline expired");
+      result_.runtime_seconds = watch_.ElapsedSeconds();
+      return std::move(result_);
+    }
     if (journal_) EmitStopRecord();
 
     // The repair pass relies on the one-index bookkeeping.
-    if (opts_.swap_repair && !opts_.multi_index_eval) SwapRepair(&result);
+    if (opts_.swap_repair && !opts_.multi_index_eval) SwapRepair(&result_);
 
-    for (const Index& k : selected_) result.selection.Insert(k);
-    result.objective = objective_;
-    result.memory = used_memory_;
-    result.runtime_seconds = watch.ElapsedSeconds();
-    result.whatif_calls = engine_.stats().calls - calls_before;
-    result.status =
+    for (const Index& k : selected_) result_.selection.Insert(k);
+    result_.objective = objective_;
+    result_.memory = used_memory_;
+    result_.runtime_seconds = watch_.ElapsedSeconds();
+    result_.whatif_calls = engine_.stats().calls - calls_before_;
+    result_.status =
         poller_.expired()
             ? Status::Timeout("recursive selector: deadline expired")
             : Status::Ok();
+    PublishMetrics();
+    if (obs::Enabled()) {
+      SelectorMetrics::Get().run_latency->Record(
+          static_cast<uint64_t>(result_.runtime_seconds * 1e9));
+    }
+    return std::move(result_);
+  }
+
+  /// Flushes the run's plain-local tallies to the registry in one batch.
+  void PublishMetrics() {
+    if (dead_on_arrival_) return;
     const SelectorMetrics& metrics = SelectorMetrics::Get();
     metrics.runs->Add(1);
     metrics.rounds->Add(committed_rounds_);
@@ -284,11 +345,6 @@ class Runner {
     metrics.ratio_ties->Add(ratio_ties_);
     metrics.kernel_filtered->Add(
         kernel_filtered_.load(std::memory_order_relaxed));
-    if (obs::Enabled()) {
-      metrics.run_latency->Record(
-          static_cast<uint64_t>(result.runtime_seconds * 1e9));
-    }
-    return result;
   }
 
  private:
@@ -529,9 +585,48 @@ class Runner {
       objective_ -= w_.query(j).frequency * (best_cost_[j] - c);
       best_cost_[j] = c;
       best_owner_[j] = pos;
+      MarkQuery(j);
     } else if (c < second_cost_[j]) {
       second_cost_[j] = c;
+      MarkQuery(j);
     }
+  }
+
+  // -- Move memo --------------------------------------------------------------
+  //
+  // Every unit's moves are cached across rounds; a round re-evaluates only
+  // the units the commits since the last evaluation may have changed. A
+  // single {i}'s move reads best_cost_ of the queries holding i, and
+  // whether {i} is selected; an append unit's moves read its index and
+  // best_cost_ / second_cost_ / best_owner_ (through CostWithout) of the
+  // queries holding the index's leading attribute. Hence the rule:
+  //   * a changed best/second/owner of query j marks every attribute of
+  //     q_j (InsertCost, RecomputeQuery);
+  //   * a commit marks the leading attribute of the index it adds or
+  //     replaces ({i}'s "selected" status may flip);
+  //   * an append commit invalidates its position; a new index adds a
+  //     position with no cache;
+  //   * prune (positions shift) and swap repair (RebuildState) invalidate
+  //     everything.
+  // A single is stale iff its attribute is marked; an append unit iff its
+  // position was invalidated or its leading attribute is marked.
+  // Everything else — maintenance, sizes, ReconfigDelta — depends on ids
+  // alone. Pair steps and Remark 2 stay unmemoized.
+
+  void MarkAttribute(workload::AttributeId a) {
+    if (attr_marked_[a] == 0) {
+      attr_marked_[a] = 1;
+      marked_attrs_.push_back(a);
+    }
+  }
+
+  void MarkQuery(workload::QueryId j) {
+    for (workload::AttributeId a : w_.query(j).attributes) MarkAttribute(a);
+  }
+
+  void ClearMarks() {
+    for (workload::AttributeId a : marked_attrs_) attr_marked_[a] = 0;
+    marked_attrs_.clear();
   }
 
   /// Cached per-attribute f_j({i}) cost arrays, SoA-aligned with the
@@ -554,23 +649,24 @@ class Runner {
     return single_costs_[i];
   }
 
-  bool SingleSelected(workload::AttributeId i) const {
-    for (const Index& k : selected_) {
-      if (k.width() == 1 && k.leading() == i) return true;
+  /// Keeps single_selected_ in step with a width-1 index entering (`on`)
+  /// or leaving the selection.
+  void NoteSelected(kernel::IndexId id, bool on) {
+    if (engine_.arena().width(id) == 1) {
+      single_selected_[engine_.arena().leading(id)] = on ? 1 : 0;
     }
-    return false;
   }
 
   /// Strict "a beats b" order on candidate moves: ratio, then the
   /// deterministic lexicographic tuple tie-break, compared through the
   /// arena (arena order is plain lexicographic comparison of the tuples,
   /// i.e. Index::operator<).
-  bool MoveBetter(const Move& a, const Move& b) const {
-    if (!ExactlyEqual(a.ratio, b.ratio)) return a.ratio > b.ratio;
-    return engine_.arena().Less(a.after_id, b.after_id);
+  bool Beats(double ratio, kernel::IndexId id, const Move& b) const {
+    if (!ExactlyEqual(ratio, b.ratio)) return ratio > b.ratio;
+    return engine_.arena().Less(id, b.after_id);
   }
 
-  void Consider(Move move, Move* best, Move* runner_up) {
+  void Consider(const Move& move, double budget) {
     ++candidate_evals_;
     if (journal_) ++round_evals_;
     if (!(move.benefit > kEps) || !(move.memory_delta > 0.0)) {
@@ -579,81 +675,211 @@ class Runner {
       // else here simply does not improve the objective.
       if (journal_) {
         if (!std::isfinite(move.memory_delta)) {
-          LogRejectedMove(std::move(move), "sanitized-whatif");
+          LogRejectedMove(move, "sanitized-whatif");
         } else {
           ++round_no_benefit_;
         }
       }
       return;
     }
-    if (used_memory_ + move.memory_delta > opts_.budget + kEps) {
+    if (used_memory_ + move.memory_delta > budget + kEps) {
       if (journal_) {
         const char* reason = std::isfinite(move.memory_delta)
                                  ? "budget-exceeded"
                                  : "sanitized-whatif";
-        LogRejectedMove(std::move(move), reason);
+        LogRejectedMove(move, reason);
       }
       return;
     }
-    move.ratio = move.benefit / move.memory_delta;
-    move.valid = true;
+    const double ratio = move.benefit / move.memory_delta;
     // A ratio tie means the deterministic tuple ordering — not the step
     // criterion — decides the move; worth counting because ties make the
     // greedy's choice sensitive to index enumeration order.
-    if (best->valid && ExactlyEqual(move.ratio, best->ratio)) ++ratio_ties_;
-    if (!best->valid || MoveBetter(move, *best)) {
-      if (best->valid) *runner_up = *best;
-      *best = move;
-    } else if (!runner_up->valid || MoveBetter(move, *runner_up)) {
-      *runner_up = move;
+    if (best_.valid && ExactlyEqual(ratio, best_.ratio)) ++ratio_ties_;
+    Move* slot = nullptr;
+    if (!best_.valid || Beats(ratio, move.after_id, best_)) {
+      if (best_.valid) runner_up_ = best_;
+      slot = &best_;
+    } else if (!runner_up_.valid || Beats(ratio, move.after_id, runner_up_)) {
+      slot = &runner_up_;
+    } else {
+      return;
     }
+    *slot = move;
+    slot->ratio = ratio;
+    slot->valid = true;
   }
 
-  /// Evaluates `n` independent units of move generation and reduces their
-  /// candidate moves into best/runner-up. `eval(u, out)` must append unit
-  /// u's moves to `out` in the order the serial code would have Considered
-  /// them, must not touch Runner state other than the (read-only during a
-  /// round) bookkeeping and the thread-safe engine, and must not Consider
-  /// itself.
-  ///
-  /// Serial path (threads == 1): evaluate-then-Consider per unit — the
-  /// same moves in the same order as the historical interleaved code,
-  /// since Consider only folds into best/runner-up, which no evaluation
-  /// reads. Parallel path: all units evaluate concurrently into per-unit
-  /// buffers, then one serial pass Considers them in unit order. Both
-  /// paths therefore Consider the identical move sequence: bit-identical
-  /// selections, FP sums, and telemetry regardless of thread count.
+  /// Runs `eval(u)` for every unit u in `units`; each call writes only
+  /// unit u's own cache slot and must not touch other Runner state than
+  /// the (read-only during a round) bookkeeping and the thread-safe
+  /// engine. Serial (threads == 1): ascending unit order, polling the
+  /// deadline between units. Parallel: the units run across the pool's
+  /// lanes; a deadline hit leaves some slots stale, and the caller then
+  /// discards the round (Propose returns false on expiry).
   template <typename Eval>
-  void EvaluateUnits(size_t n, const Eval& eval, Move* best,
-                     Move* runner_up) {
-    if (n == 0) return;
+  void RunUnits(const std::vector<uint32_t>& units, const Eval& eval) {
+    if (units.empty()) return;
     if (!pool_.has_value()) {
-      for (size_t u = 0; u < n; ++u) {
+      for (uint32_t u : units) {
         if (poller_.Expired()) return;
-        serial_moves_.clear();
-        eval(u, serial_moves_);
-        for (const Move& move : serial_moves_) {
-          Consider(move, best, runner_up);
-        }
+        eval(u);
       }
       return;
     }
-    // Buffers are members so steady-state rounds reuse their capacity.
-    if (unit_buffers_.size() < n) unit_buffers_.resize(n);
-    for (size_t u = 0; u < n; ++u) unit_buffers_[u].clear();
-    pool_->ParallelFor(n, [&](size_t u) {
+    pool_->ParallelFor(units.size(), [&](size_t t) {
       if (poller_.Expired()) return;
-      eval(u, unit_buffers_[u]);
+      eval(units[t]);
     });
-    // A deadline hit mid-evaluation leaves some buffers empty; the main
-    // loop discards the whole round (same contract as the serial early
-    // return), so skip the reduction.
-    if (poller_.expired()) return;
+  }
+
+  /// Fills stale_units_ with 0..n-1 (unmemoized evaluators).
+  const std::vector<uint32_t>& AllUnits(size_t n) {
+    stale_units_.resize(n);
+    for (size_t u = 0; u < n; ++u) stale_units_[u] = static_cast<uint32_t>(u);
+    return stale_units_;
+  }
+
+  /// Brings every unit's cached moves up to date with the selection the
+  /// last commit left. Singles come before appends and appends before
+  /// pairs, each group in ascending unit order, so the stale units issue
+  /// their backend calls in exactly the order a full evaluation would:
+  /// a clean unit already read every cost it needs in an earlier round,
+  /// so skipping it skips only cache hits.
+  void EvaluateRound() {
+    const size_t n = eligible_singles_.size();
+    const size_t m = selected_.size();
+    if (opts_.multi_index_eval) {
+      const costmodel::IndexConfig current = CurrentConfig();
+      RunUnits(AllUnits(n), [&](size_t u) {
+        single_has_move_[u] =
+            EvaluateSingleMulti(u, current, &single_moves_[u]) ? 1 : 0;
+      });
+      if (poller_.expired()) return;
+      RunUnits(AllUnits(m), [&](size_t pos) {
+        append_moves_[pos].clear();
+        EvaluateAppendMulti(pos, current, &append_moves_[pos]);
+      });
+      return;
+    }
+
+    stale_units_.clear();
     for (size_t u = 0; u < n; ++u) {
-      for (const Move& move : unit_buffers_[u]) {
-        Consider(move, best, runner_up);
+      if (memo_reset_ || attr_marked_[eligible_singles_[u]] != 0) {
+        stale_units_.push_back(static_cast<uint32_t>(u));
       }
     }
+    RunUnits(stale_units_, [&](size_t u) {
+      single_has_move_[u] = EvaluateSingle(u, &single_moves_[u]) ? 1 : 0;
+    });
+    if (!poller_.expired()) {
+      const kernel::IndexArena& arena = engine_.arena();
+      stale_units_.clear();
+      for (size_t pos = 0; pos < m; ++pos) {
+        if (memo_reset_ || append_fresh_[pos] == 0 ||
+            attr_marked_[arena.leading(selected_ids_[pos])] != 0) {
+          stale_units_.push_back(static_cast<uint32_t>(pos));
+        }
+      }
+      RunUnits(stale_units_, [&](size_t pos) {
+        append_moves_[pos].clear();
+        uint64_t filtered = 0;
+        EvaluateAppend(pos, &append_moves_[pos], &filtered);
+        if (filtered != 0) {
+          kernel_filtered_.fetch_add(filtered, std::memory_order_relaxed);
+        }
+      });
+      for (uint32_t pos : stale_units_) append_fresh_[pos] = 1;
+    }
+    ClearMarks();
+    // A deadline hit mid-evaluation leaves stale slots behind: trust none.
+    memo_reset_ = poller_.expired();
+    if (memo_reset_) return;
+    if (audit::Enabled()) AuditMemo();
+
+    if (opts_.pair_steps) {
+      if (pair_moves_.size() < n + m) pair_moves_.resize(n + m);
+      RunUnits(AllUnits(n), [&](size_t u) {
+        pair_moves_[u].clear();
+        EvaluateNewPairs(u, &pair_moves_[u]);
+      });
+      if (poller_.expired()) return;
+      RunUnits(AllUnits(m), [&](size_t pos) {
+        pair_moves_[n + pos].clear();
+        EvaluateAppendPairs(pos, &pair_moves_[n + pos]);
+      });
+    }
+  }
+
+  /// Considers every cached move in unit order — singles, appends, then
+  /// pairs — exactly the sequence the unmemoized evaluation produced, so
+  /// best/runner-up, FP tie-breaks, candidate_evals and the journal's
+  /// round log match at any thread count.
+  void FoldRound(double budget) {
+    if (journal_) ResetRoundLog();
+    best_ = Move();
+    runner_up_ = Move();
+    for (size_t u = 0; u < single_moves_.size(); ++u) {
+      if (single_has_move_[u] != 0) Consider(single_moves_[u], budget);
+    }
+    for (size_t pos = 0; pos < selected_.size(); ++pos) {
+      for (const Move& move : append_moves_[pos]) Consider(move, budget);
+    }
+    if (opts_.pair_steps && !opts_.multi_index_eval) {
+      const size_t units = single_moves_.size() + selected_.size();
+      for (size_t u = 0; u < units; ++u) {
+        for (const Move& move : pair_moves_[u]) Consider(move, budget);
+      }
+    }
+  }
+
+  static bool SameBits(double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  }
+
+  static bool SameMove(const Move& a, const Move& b) {
+    return a.kind == b.kind && a.selected_pos == b.selected_pos &&
+           a.after_id == b.after_id && SameBits(a.benefit, b.benefit) &&
+           SameBits(a.memory_delta, b.memory_delta);
+  }
+
+  /// IDXSEL_AUDIT's check of the memo: re-evaluates every unit into
+  /// scratch and requires the cached moves bit for bit (kind, position,
+  /// id, benefit, memory delta). Every re-read cost is warm, so the check
+  /// issues no backend call, and it never Considers, journals or touches
+  /// the filtered-query tally.
+  void AuditMemo() {
+    audit::AuditReport report;
+    const std::string round = std::to_string(committed_rounds_);
+    Move scratch;
+    for (size_t u = 0; u < eligible_singles_.size(); ++u) {
+      const bool has = EvaluateSingle(u, &scratch);
+      ++report.slots_checked;
+      if (has != (single_has_move_[u] != 0) ||
+          (has && !SameMove(scratch, single_moves_[u]))) {
+        report.AddViolation("memo: round " + round + ": single {" +
+                            std::to_string(eligible_singles_[u]) +
+                            "} differs from a fresh evaluation");
+      }
+    }
+    std::vector<Move> fresh;
+    for (size_t pos = 0; pos < selected_.size(); ++pos) {
+      fresh.clear();
+      uint64_t filtered = 0;
+      EvaluateAppend(pos, &fresh, &filtered);
+      const std::vector<Move>& cached = append_moves_[pos];
+      bool same = fresh.size() == cached.size();
+      for (size_t e = 0; same && e < fresh.size(); ++e) {
+        same = SameMove(fresh[e], cached[e]);
+      }
+      ++report.slots_checked;
+      if (!same) {
+        report.AddViolation("memo: round " + round + ": appends of " +
+                            selected_[pos].ToString() +
+                            " differ from a fresh evaluation");
+      }
+    }
+    audit::InvariantAuditor::CheckClean(report);
   }
 
   /// Benefit of creating single-attribute index {i} against the current
@@ -710,30 +936,27 @@ class Runner {
     std::sort(eligible_singles_.begin(), eligible_singles_.end());
   }
 
-  /// Step (3a): one new single-attribute index per eligible attribute not
-  /// selected yet. Sizes and maintenance come from the dense id-addressed
-  /// tables; no Index is materialized.
-  void EvaluateNewSingles(Move* best, Move* runner_up) {
-    EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
-          const workload::AttributeId i = eligible_singles_[u];
-          if (SingleSelected(i)) return;  // step (3a): I and {i} disjoint
-          const kernel::IndexId id = single_ids_[i];
-          Move move;
-          move.kind = StepKind::kNewSingle;
-          move.after_id = id;
-          move.benefit = SingleBenefit(i) -
-                         ReconfigDelta(kernel::kInvalidIndexId, id) -
-                         engine_.MaintenancePenaltyDense(id);
-          move.memory_delta = engine_.IndexMemoryDense(id);
-          out.push_back(std::move(move));
-        },
-        best, runner_up);
+  /// Step (3a) for eligible single u: the move creating {i}, or false
+  /// when {i} is selected already (I and {i} must be disjoint). Sizes and
+  /// maintenance come from the dense id-addressed tables; no Index is
+  /// materialized.
+  bool EvaluateSingle(size_t u, Move* out) {
+    const workload::AttributeId i = eligible_singles_[u];
+    if (single_selected_[i] != 0) return false;
+    const kernel::IndexId id = single_ids_[i];
+    *out = Move();
+    out->kind = StepKind::kNewSingle;
+    out->after_id = id;
+    out->benefit = SingleBenefit(i) -
+                   ReconfigDelta(kernel::kInvalidIndexId, id) -
+                   engine_.MaintenancePenaltyDense(id);
+    out->memory_delta = engine_.IndexMemoryDense(id);
+    return true;
   }
 
-  /// Step (3b), batched: for every selected k, the extensions k ⊕ a by
-  /// attributes a of queries fully covering k. Only those queries can
+  /// Step (3b), batched, for the selected k at `pos`: the extensions k ⊕ a
+  /// by attributes a of queries fully covering k, appended to `out`; the
+  /// mask filter's rejects are added to `*filtered`. Only those queries can
   /// change cost, and each candidate's benefit sums them in ascending
   /// query order:
   ///
@@ -753,158 +976,156 @@ class Runner {
   ///      rt::FaultInjectingBackend's PRNG stream) keep one fixed order.
   ///      Per-candidate fallback would regroup calls candidate by
   ///      candidate — that is why the demotion is all-or-nothing per unit.
-  void EvaluateAppends(Move* best, Move* runner_up) {
+  void EvaluateAppend(size_t pos, std::vector<Move>* out,
+                      uint64_t* filtered) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
-    EvaluateUnits(
-        selected_.size(),
-        [&](size_t pos, std::vector<Move>& out) {
-          const kernel::IndexId kid = selected_ids_[pos];
-          const uint32_t kwidth = arena.width(kid);
-          if (kwidth >= opts_.max_index_width) return;
-          const double base_mem = engine_.IndexMemoryDense(kid);
-          const uint64_t kmask = arena.mask(kid);
-          AppendScratch& scratch = AppendScratch::Local();
-          scratch.Begin(w_.num_attributes());
-          const workload::AttributeId lead = arena.leading(kid);
-          const auto& posting = w_.queries_with(lead);
+    const kernel::IndexId kid = selected_ids_[pos];
+    const uint32_t kwidth = arena.width(kid);
+    if (kwidth >= opts_.max_index_width) return;
+    const double base_mem = engine_.IndexMemoryDense(kid);
+    const uint64_t kmask = arena.mask(kid);
+    AppendScratch& scratch = AppendScratch::Local();
+    scratch.Begin(w_.num_attributes());
+    const workload::AttributeId lead = arena.leading(kid);
+    const auto& posting = w_.queries_with(lead);
 
-          // (1) mask full-cover filter, 4 query masks per step.
-          if (scratch.kept.size() < posting.size()) {
-            scratch.kept.resize(posting.size());
+    // (1) mask full-cover filter, 4 query masks per step.
+    if (scratch.kept.size() < posting.size()) {
+      scratch.kept.resize(posting.size());
+    }
+    const size_t kept_n = kernel::simd::FilterMasks(
+        qmasks.posting_masks(lead), posting.size(), kmask,
+        scratch.kept.data());
+    if (kept_n != posting.size()) {
+      *filtered += posting.size() - kept_n;
+    }
+
+    // (2) discovery: confirm lossy-mask hits, snapshot
+    // cost-without, intern extensions (first-touch order), count CSR
+    // entries.
+    scratch.covered.clear();
+    scratch.cov_qid.clear();
+    scratch.cov_cw.clear();
+    size_t total_pairs = 0;
+    for (size_t t = 0; t < kept_n; ++t) {
+      const uint32_t s = scratch.kept[t];
+      const workload::QueryId j = posting[s];
+      const auto& q_attrs = w_.query(j).attributes;
+      if (!qmasks.exact() &&
+          selected_[pos].CoverablePrefixLength(q_attrs) != kwidth) {
+        continue;
+      }
+      scratch.covered.push_back(s);
+      scratch.cov_qid.push_back(j);
+      scratch.cov_cw.push_back(CostWithout(j, pos));
+      for (workload::AttributeId a : q_attrs) {
+        if (arena.Contains(kid, a)) continue;
+        if (scratch.epoch[a] != scratch.current) {
+          scratch.epoch[a] = scratch.current;
+          scratch.benefit[a] = 0.0;
+          scratch.count[a] = 0;
+          scratch.ext_id[a] = engine_.arena().InternAppend(kid, a);
+          scratch.touched.push_back(a);
+        }
+        ++scratch.count[a];
+        ++total_pairs;
+      }
+    }
+
+    if (!scratch.touched.empty()) {
+      // (2b) CSR offsets, then an ascending-slot fill per candidate
+      // (count doubles as the fill cursor and ends back at the
+      // segment length).
+      uint32_t csr_acc = 0;
+      for (workload::AttributeId a : scratch.touched) {
+        scratch.offset[a] = csr_acc;
+        csr_acc += scratch.count[a];
+        scratch.count[a] = 0;
+      }
+      if (scratch.slot_csr.size() < total_pairs) {
+        scratch.slot_csr.resize(total_pairs);
+        scratch.qid_csr.resize(total_pairs);
+        scratch.cw_csr.resize(total_pairs);
+        scratch.batch.resize(total_pairs);
+      }
+      for (size_t e = 0; e < scratch.covered.size(); ++e) {
+        const workload::QueryId j = scratch.cov_qid[e];
+        for (workload::AttributeId a : w_.query(j).attributes) {
+          if (arena.Contains(kid, a)) continue;
+          const uint32_t idx = scratch.offset[a] + scratch.count[a]++;
+          scratch.slot_csr[idx] = scratch.covered[e];
+          scratch.qid_csr[idx] = j;
+          scratch.cw_csr[idx] = scratch.cov_cw[e];
+        }
+      }
+
+      // (3) warmth peek — raw reads, no accounting, so a cold
+      // candidate leaves nothing to compensate before the fallback.
+      bool all_warm = true;
+      for (workload::AttributeId a : scratch.touched) {
+        if (!engine_.PeekDenseCostBlock(
+                scratch.ext_id[a],
+                scratch.slot_csr.data() + scratch.offset[a],
+                scratch.count[a],
+                scratch.batch.data() + scratch.offset[a])) {
+          all_warm = false;
+          break;
+        }
+      }
+
+      if (all_warm) {
+        // (3a) batched what-if + vector reduction per candidate.
+        for (workload::AttributeId a : scratch.touched) {
+          const uint32_t off = scratch.offset[a];
+          const uint32_t cnt = scratch.count[a];
+          const bool warm = engine_.CostWithIndexBatch(
+              scratch.ext_id[a], scratch.slot_csr.data() + off, cnt,
+              scratch.batch.data() + off);
+          // Slots only ever transition unset -> set within a round.
+          IDXSEL_DCHECK(warm);
+          scratch.benefit[a] = kernel::simd::ReduceAppendBenefit(
+              scratch.batch.data() + off, scratch.cw_csr.data() + off,
+              scratch.qid_csr.data() + off, best_cost_.data(),
+              freq_.data(), cnt);
+        }
+      } else {
+        // (3b) whole-unit query-outer, attribute-inner order of
+        // per-call dense lookups. The extension keeps k's leading
+        // attribute, so it shares k's posting list and the covered
+        // slot is also its dense row slot.
+        for (size_t e = 0; e < scratch.covered.size(); ++e) {
+          const uint32_t s = scratch.covered[e];
+          const workload::QueryId j = scratch.cov_qid[e];
+          const double cost_without = scratch.cov_cw[e];
+          for (workload::AttributeId a : w_.query(j).attributes) {
+            if (arena.Contains(kid, a)) continue;
+            const double new_cost = std::min(
+                cost_without,
+                engine_.CostWithIndexDense(j, scratch.ext_id[a], s));
+            scratch.benefit[a] +=
+                freq_[j] * (best_cost_[j] - new_cost);
           }
-          const size_t kept_n = kernel::simd::FilterMasks(
-              qmasks.posting_masks(lead), posting.size(), kmask,
-              scratch.kept.data());
-          if (kept_n != posting.size()) {
-            kernel_filtered_.fetch_add(posting.size() - kept_n,
-                                       std::memory_order_relaxed);
-          }
+        }
+      }
+    }
 
-          // (2) discovery: confirm lossy-mask hits, snapshot
-          // cost-without, intern extensions (first-touch order), count CSR
-          // entries.
-          scratch.covered.clear();
-          scratch.cov_qid.clear();
-          scratch.cov_cw.clear();
-          size_t total_pairs = 0;
-          for (size_t t = 0; t < kept_n; ++t) {
-            const uint32_t s = scratch.kept[t];
-            const workload::QueryId j = posting[s];
-            const auto& q_attrs = w_.query(j).attributes;
-            if (!qmasks.exact() &&
-                selected_[pos].CoverablePrefixLength(q_attrs) != kwidth) {
-              continue;
-            }
-            scratch.covered.push_back(s);
-            scratch.cov_qid.push_back(j);
-            scratch.cov_cw.push_back(CostWithout(j, pos));
-            for (workload::AttributeId a : q_attrs) {
-              if (arena.Contains(kid, a)) continue;
-              if (scratch.epoch[a] != scratch.current) {
-                scratch.epoch[a] = scratch.current;
-                scratch.benefit[a] = 0.0;
-                scratch.count[a] = 0;
-                scratch.ext_id[a] = engine_.arena().InternAppend(kid, a);
-                scratch.touched.push_back(a);
-              }
-              ++scratch.count[a];
-              ++total_pairs;
-            }
-          }
-
-          if (!scratch.touched.empty()) {
-            // (2b) CSR offsets, then an ascending-slot fill per candidate
-            // (count doubles as the fill cursor and ends back at the
-            // segment length).
-            uint32_t csr_acc = 0;
-            for (workload::AttributeId a : scratch.touched) {
-              scratch.offset[a] = csr_acc;
-              csr_acc += scratch.count[a];
-              scratch.count[a] = 0;
-            }
-            if (scratch.slot_csr.size() < total_pairs) {
-              scratch.slot_csr.resize(total_pairs);
-              scratch.qid_csr.resize(total_pairs);
-              scratch.cw_csr.resize(total_pairs);
-              scratch.batch.resize(total_pairs);
-            }
-            for (size_t e = 0; e < scratch.covered.size(); ++e) {
-              const workload::QueryId j = scratch.cov_qid[e];
-              for (workload::AttributeId a : w_.query(j).attributes) {
-                if (arena.Contains(kid, a)) continue;
-                const uint32_t idx = scratch.offset[a] + scratch.count[a]++;
-                scratch.slot_csr[idx] = scratch.covered[e];
-                scratch.qid_csr[idx] = j;
-                scratch.cw_csr[idx] = scratch.cov_cw[e];
-              }
-            }
-
-            // (3) warmth peek — raw reads, no accounting, so a cold
-            // candidate leaves nothing to compensate before the fallback.
-            bool all_warm = true;
-            for (workload::AttributeId a : scratch.touched) {
-              if (!engine_.PeekDenseCostBlock(
-                      scratch.ext_id[a],
-                      scratch.slot_csr.data() + scratch.offset[a],
-                      scratch.count[a],
-                      scratch.batch.data() + scratch.offset[a])) {
-                all_warm = false;
-                break;
-              }
-            }
-
-            if (all_warm) {
-              // (3a) batched what-if + vector reduction per candidate.
-              for (workload::AttributeId a : scratch.touched) {
-                const uint32_t off = scratch.offset[a];
-                const uint32_t cnt = scratch.count[a];
-                const bool warm = engine_.CostWithIndexBatch(
-                    scratch.ext_id[a], scratch.slot_csr.data() + off, cnt,
-                    scratch.batch.data() + off);
-                // Slots only ever transition unset -> set within a round.
-                IDXSEL_DCHECK(warm);
-                scratch.benefit[a] = kernel::simd::ReduceAppendBenefit(
-                    scratch.batch.data() + off, scratch.cw_csr.data() + off,
-                    scratch.qid_csr.data() + off, best_cost_.data(),
-                    freq_.data(), cnt);
-              }
-            } else {
-              // (3b) whole-unit query-outer, attribute-inner order of
-              // per-call dense lookups. The extension keeps k's leading
-              // attribute, so it shares k's posting list and the covered
-              // slot is also its dense row slot.
-              for (size_t e = 0; e < scratch.covered.size(); ++e) {
-                const uint32_t s = scratch.covered[e];
-                const workload::QueryId j = scratch.cov_qid[e];
-                const double cost_without = scratch.cov_cw[e];
-                for (workload::AttributeId a : w_.query(j).attributes) {
-                  if (arena.Contains(kid, a)) continue;
-                  const double new_cost = std::min(
-                      cost_without,
-                      engine_.CostWithIndexDense(j, scratch.ext_id[a], s));
-                  scratch.benefit[a] +=
-                      freq_[j] * (best_cost_[j] - new_cost);
-                }
-              }
-            }
-          }
-
-          std::sort(scratch.touched.begin(), scratch.touched.end());
-          for (workload::AttributeId a : scratch.touched) {
-            const kernel::IndexId eid = scratch.ext_id[a];
-            Move move;
-            move.kind = StepKind::kAppend;
-            move.selected_pos = pos;
-            move.after_id = eid;
-            move.benefit = scratch.benefit[a] - ReconfigDelta(kid, eid) -
-                           (engine_.MaintenancePenaltyDense(eid) -
-                            engine_.MaintenancePenaltyDense(kid));
-            move.memory_delta = engine_.IndexMemoryDense(eid) - base_mem;
-            out.push_back(std::move(move));
-          }
-        },
-        best, runner_up);
+    std::sort(scratch.touched.begin(), scratch.touched.end());
+    // One allocation for a position's first move list; re-evaluations
+    // reuse its capacity.
+    out->reserve(out->size() + scratch.touched.size());
+    for (workload::AttributeId a : scratch.touched) {
+      const kernel::IndexId eid = scratch.ext_id[a];
+      Move move;
+      move.kind = StepKind::kAppend;
+      move.selected_pos = pos;
+      move.after_id = eid;
+      move.benefit = scratch.benefit[a] - ReconfigDelta(kid, eid) -
+                     (engine_.MaintenancePenaltyDense(eid) -
+                      engine_.MaintenancePenaltyDense(kid));
+      move.memory_delta = engine_.IndexMemoryDense(eid) - base_mem;
+      out->push_back(std::move(move));
+    }
   }
 
   /// Fills `after` of a move; only the committed move and the traced
@@ -921,96 +1142,88 @@ class Runner {
   /// fully-covering query at once. A pair index applies to every query
   /// holding its first new attribute — a query lacking the second runs on
   /// the pair's prefix — so each benefit sums all of those queries, in
-  /// ascending order.
-  void EvaluatePairs(Move* best, Move* runner_up) {
-    EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
-          const workload::AttributeId a = eligible_singles_[u];
-          const auto& posting = w_.queries_with(a);
-          std::vector<workload::AttributeId> partners;
-          for (workload::QueryId j : posting) {
-            for (workload::AttributeId b : w_.query(j).attributes) {
-              if (b != a) partners.push_back(b);
-            }
-          }
-          std::sort(partners.begin(), partners.end());
-          partners.erase(std::unique(partners.begin(), partners.end()),
-                         partners.end());
-          for (workload::AttributeId b : partners) {
-            const kernel::IndexId id =
-                engine_.arena().InternAppend(single_ids_[a], b);
-            // {a, b} leads with a: posting slot s is its dense row slot.
-            double benefit = 0.0;
-            for (uint32_t s = 0; s < posting.size(); ++s) {
-              const workload::QueryId j = posting[s];
-              const double new_cost = std::min(
-                  best_cost_[j], engine_.CostWithIndexDense(j, id, s));
-              benefit += freq_[j] * (best_cost_[j] - new_cost);
-            }
-            Move move;
-            move.kind = StepKind::kNewPair;
-            move.after_id = id;
-            move.benefit = benefit -
-                           ReconfigDelta(kernel::kInvalidIndexId, id) -
-                           engine_.MaintenancePenaltyDense(id);
-            move.memory_delta = engine_.IndexMemoryDense(id);
-            out.push_back(std::move(move));
-          }
-        },
-        best, runner_up);
-    if (poller_.expired()) return;
-    // Append pairs k -> k ++ a ++ b.
-    EvaluateUnits(
-        selected_.size(),
-        [&](size_t pos, std::vector<Move>& out) {
-          const Index& k = selected_[pos];
-          const kernel::IndexId kid = selected_ids_[pos];
-          if (k.width() + 2 > opts_.max_index_width) return;
-          const double base_mem = engine_.IndexMemoryDense(kid);
-          const auto& posting = w_.queries_with(k.leading());
-          std::vector<uint32_t> covered;
-          std::vector<std::pair<workload::AttributeId, workload::AttributeId>>
-              pairs;
-          for (uint32_t s = 0; s < posting.size(); ++s) {
-            const auto& q_attrs = w_.query(posting[s]).attributes;
-            if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
-            covered.push_back(s);
-            for (workload::AttributeId a : q_attrs) {
-              if (k.Contains(a)) continue;
-              for (workload::AttributeId b : q_attrs) {
-                if (b != a && !k.Contains(b)) pairs.emplace_back(a, b);
-              }
-            }
-          }
-          std::sort(pairs.begin(), pairs.end());
-          pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-          for (const auto& [a, b] : pairs) {
-            const kernel::IndexId id = engine_.arena().InternAppend(
-                engine_.arena().InternAppend(kid, a), b);
-            double benefit = 0.0;
-            for (uint32_t s : covered) {
-              const workload::QueryId j = posting[s];
-              const auto& q_attrs = w_.query(j).attributes;
-              if (!std::binary_search(q_attrs.begin(), q_attrs.end(), a)) {
-                continue;
-              }
-              const double new_cost = std::min(
-                  CostWithout(j, pos), engine_.CostWithIndexDense(j, id, s));
-              benefit += freq_[j] * (best_cost_[j] - new_cost);
-            }
-            Move move;
-            move.kind = StepKind::kAppendPair;
-            move.selected_pos = pos;
-            move.after_id = id;
-            move.benefit = benefit - ReconfigDelta(kid, id) -
-                           (engine_.MaintenancePenaltyDense(id) -
-                            engine_.MaintenancePenaltyDense(kid));
-            move.memory_delta = engine_.IndexMemoryDense(id) - base_mem;
-            out.push_back(std::move(move));
-          }
-        },
-        best, runner_up);
+  /// ascending order. This unit: new pairs led by eligible single u.
+  void EvaluateNewPairs(size_t u, std::vector<Move>* out) {
+    const workload::AttributeId a = eligible_singles_[u];
+    const auto& posting = w_.queries_with(a);
+    std::vector<workload::AttributeId> partners;
+    for (workload::QueryId j : posting) {
+      for (workload::AttributeId b : w_.query(j).attributes) {
+        if (b != a) partners.push_back(b);
+      }
+    }
+    std::sort(partners.begin(), partners.end());
+    partners.erase(std::unique(partners.begin(), partners.end()),
+                   partners.end());
+    for (workload::AttributeId b : partners) {
+      const kernel::IndexId id =
+          engine_.arena().InternAppend(single_ids_[a], b);
+      // {a, b} leads with a: posting slot s is its dense row slot.
+      double benefit = 0.0;
+      for (uint32_t s = 0; s < posting.size(); ++s) {
+        const workload::QueryId j = posting[s];
+        const double new_cost = std::min(
+            best_cost_[j], engine_.CostWithIndexDense(j, id, s));
+        benefit += freq_[j] * (best_cost_[j] - new_cost);
+      }
+      Move move;
+      move.kind = StepKind::kNewPair;
+      move.after_id = id;
+      move.benefit = benefit -
+                     ReconfigDelta(kernel::kInvalidIndexId, id) -
+                     engine_.MaintenancePenaltyDense(id);
+      move.memory_delta = engine_.IndexMemoryDense(id);
+      out->push_back(std::move(move));
+    }
+  }
+
+  /// Append pairs k -> k ++ a ++ b of the selected index at `pos`.
+  void EvaluateAppendPairs(size_t pos, std::vector<Move>* out) {
+    const Index& k = selected_[pos];
+    const kernel::IndexId kid = selected_ids_[pos];
+    if (k.width() + 2 > opts_.max_index_width) return;
+    const double base_mem = engine_.IndexMemoryDense(kid);
+    const auto& posting = w_.queries_with(k.leading());
+    std::vector<uint32_t> covered;
+    std::vector<std::pair<workload::AttributeId, workload::AttributeId>>
+        pairs;
+    for (uint32_t s = 0; s < posting.size(); ++s) {
+      const auto& q_attrs = w_.query(posting[s]).attributes;
+      if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
+      covered.push_back(s);
+      for (workload::AttributeId a : q_attrs) {
+        if (k.Contains(a)) continue;
+        for (workload::AttributeId b : q_attrs) {
+          if (b != a && !k.Contains(b)) pairs.emplace_back(a, b);
+        }
+      }
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (const auto& [a, b] : pairs) {
+      const kernel::IndexId id = engine_.arena().InternAppend(
+          engine_.arena().InternAppend(kid, a), b);
+      double benefit = 0.0;
+      for (uint32_t s : covered) {
+        const workload::QueryId j = posting[s];
+        const auto& q_attrs = w_.query(j).attributes;
+        if (!std::binary_search(q_attrs.begin(), q_attrs.end(), a)) {
+          continue;
+        }
+        const double new_cost = std::min(
+            CostWithout(j, pos), engine_.CostWithIndexDense(j, id, s));
+        benefit += freq_[j] * (best_cost_[j] - new_cost);
+      }
+      Move move;
+      move.kind = StepKind::kAppendPair;
+      move.selected_pos = pos;
+      move.after_id = id;
+      move.benefit = benefit - ReconfigDelta(kid, id) -
+                     (engine_.MaintenancePenaltyDense(id) -
+                      engine_.MaintenancePenaltyDense(kid));
+      move.memory_delta = engine_.IndexMemoryDense(id) - base_mem;
+      out->push_back(std::move(move));
+    }
   }
 
   // -- Remark-2 (multi-index) evaluation --------------------------------------
@@ -1025,91 +1238,79 @@ class Runner {
     return config;
   }
 
-  void EvaluateNewSinglesMulti(Move* best, Move* runner_up) {
-    const costmodel::IndexConfig current = CurrentConfig();
-    EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
-          const workload::AttributeId i = eligible_singles_[u];
-          if (SingleSelected(i)) return;
-          const Index k(i);
-          const kernel::IndexId id = single_ids_[i];
-          costmodel::IndexConfig hypothetical = current;
-          hypothetical.Insert(k);
-          double benefit = 0.0;
-          for (workload::QueryId j : w_.queries_with(i)) {
-            benefit +=
-                w_.query(j).frequency *
-                (best_cost_[j] - engine_.CostWithConfig(j, hypothetical));
-          }
-          Move move;
-          move.kind = StepKind::kNewSingle;
-          move.after_id = id;
-          move.after = k;
-          move.benefit = benefit -
-                         ReconfigDelta(kernel::kInvalidIndexId, id) -
-                         engine_.MaintenancePenalty(k);
-          move.memory_delta = engine_.IndexMemory(k);
-          out.push_back(std::move(move));
-        },
-        best, runner_up);
+  bool EvaluateSingleMulti(size_t u, const costmodel::IndexConfig& current,
+                           Move* out) {
+    const workload::AttributeId i = eligible_singles_[u];
+    if (single_selected_[i] != 0) return false;
+    const Index k(i);
+    const kernel::IndexId id = single_ids_[i];
+    costmodel::IndexConfig hypothetical = current;
+    hypothetical.Insert(k);
+    double benefit = 0.0;
+    for (workload::QueryId j : w_.queries_with(i)) {
+      benefit +=
+          w_.query(j).frequency *
+          (best_cost_[j] - engine_.CostWithConfig(j, hypothetical));
+    }
+    *out = Move();
+    out->kind = StepKind::kNewSingle;
+    out->after_id = id;
+    out->benefit = benefit - ReconfigDelta(kernel::kInvalidIndexId, id) -
+                   engine_.MaintenancePenalty(k);
+    out->memory_delta = engine_.IndexMemory(k);
+    return true;
   }
 
-  void EvaluateAppendsMulti(Move* best, Move* runner_up) {
-    const costmodel::IndexConfig current = CurrentConfig();
-    EvaluateUnits(
-        selected_.size(),
-        [&](size_t pos, std::vector<Move>& out) {
-          const Index& k = selected_[pos];
-          const kernel::IndexId kid = selected_ids_[pos];
-          if (k.width() >= opts_.max_index_width) return;
-          const double base_mem = engine_.IndexMemory(k);
+  void EvaluateAppendMulti(size_t pos, const costmodel::IndexConfig& current,
+                           std::vector<Move>* out) {
+    const Index& k = selected_[pos];
+    const kernel::IndexId kid = selected_ids_[pos];
+    if (k.width() >= opts_.max_index_width) return;
+    const double base_mem = engine_.IndexMemory(k);
 
-          // Collect candidate extension attributes from fully-covering
-          // queries.
-          std::vector<workload::AttributeId> extensions;
-          for (workload::QueryId j : w_.queries_with(k.leading())) {
-            const auto& q_attrs = w_.query(j).attributes;
-            if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
-            for (workload::AttributeId a : q_attrs) {
-              if (!k.Contains(a)) extensions.push_back(a);
-            }
-          }
-          std::sort(extensions.begin(), extensions.end());
-          extensions.erase(
-              std::unique(extensions.begin(), extensions.end()),
-              extensions.end());
+    // Collect candidate extension attributes from fully-covering
+    // queries.
+    std::vector<workload::AttributeId> extensions;
+    for (workload::QueryId j : w_.queries_with(k.leading())) {
+      const auto& q_attrs = w_.query(j).attributes;
+      if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
+      for (workload::AttributeId a : q_attrs) {
+        if (!k.Contains(a)) extensions.push_back(a);
+      }
+    }
+    std::sort(extensions.begin(), extensions.end());
+    extensions.erase(
+        std::unique(extensions.begin(), extensions.end()),
+        extensions.end());
 
-          for (workload::AttributeId a : extensions) {
-            const Index k_ext = k.Append(a);
-            const kernel::IndexId eid = engine_.arena().InternAppend(kid, a);
-            costmodel::IndexConfig hypothetical = current;
-            hypothetical.Erase(k);
-            hypothetical.Insert(k_ext);
-            double benefit = 0.0;
-            for (workload::QueryId j : w_.queries_with(k.leading())) {
-              const auto& q_attrs = w_.query(j).attributes;
-              if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
-              if (!std::binary_search(q_attrs.begin(), q_attrs.end(), a)) {
-                continue;
-              }
-              benefit +=
-                  w_.query(j).frequency *
-                  (best_cost_[j] - engine_.CostWithConfig(j, hypothetical));
-            }
-            Move move;
-            move.kind = StepKind::kAppend;
-            move.selected_pos = pos;
-            move.after_id = eid;
-            move.after = k_ext;
-            move.benefit = benefit - ReconfigDelta(kid, eid) -
-                           (engine_.MaintenancePenalty(k_ext) -
-                            engine_.MaintenancePenalty(k));
-            move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
-            out.push_back(std::move(move));
-          }
-        },
-        best, runner_up);
+    for (workload::AttributeId a : extensions) {
+      const Index k_ext = k.Append(a);
+      const kernel::IndexId eid = engine_.arena().InternAppend(kid, a);
+      costmodel::IndexConfig hypothetical = current;
+      hypothetical.Erase(k);
+      hypothetical.Insert(k_ext);
+      double benefit = 0.0;
+      for (workload::QueryId j : w_.queries_with(k.leading())) {
+        const auto& q_attrs = w_.query(j).attributes;
+        if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
+        if (!std::binary_search(q_attrs.begin(), q_attrs.end(), a)) {
+          continue;
+        }
+        benefit +=
+            w_.query(j).frequency *
+            (best_cost_[j] - engine_.CostWithConfig(j, hypothetical));
+      }
+      Move move;
+      move.kind = StepKind::kAppend;
+      move.selected_pos = pos;
+      move.after_id = eid;
+      move.after = k_ext;
+      move.benefit = benefit - ReconfigDelta(kid, eid) -
+                     (engine_.MaintenancePenalty(k_ext) -
+                      engine_.MaintenancePenalty(k));
+      move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
+      out->push_back(std::move(move));
+    }
   }
 
   void CommitMulti(const Move& move) {
@@ -1119,12 +1320,10 @@ class Runner {
       objective_ -= engine_.MaintenancePenalty(selected_[move.selected_pos]);
     }
     if (move.kind == StepKind::kNewSingle || move.kind == StepKind::kNewPair) {
-      selected_.push_back(move.after);
-      selected_ids_.push_back(move.after_id);
+      AddPosition(move.after, move.after_id);
     } else {
       replaced_ = selected_[move.selected_pos];
-      selected_[move.selected_pos] = move.after;
-      selected_ids_[move.selected_pos] = move.after_id;
+      ReplacePosition(move.selected_pos, move.after, move.after_id);
     }
     used_memory_ += move.memory_delta;
     // Refresh the costs of every query the new configuration could touch
@@ -1155,10 +1354,31 @@ class Runner {
 
   // -- Committing ------------------------------------------------------------
 
+  /// Appends a selected index: a new position, with no cached moves.
+  void AddPosition(const Index& k, kernel::IndexId id) {
+    selected_.push_back(k);
+    selected_ids_.push_back(id);
+    append_moves_.emplace_back();
+    append_fresh_.push_back(0);
+    NoteSelected(id, true);
+    MarkAttribute(engine_.arena().leading(id));
+  }
+
+  /// Replaces the index at `pos` (an append step) and invalidates the
+  /// position's cached moves.
+  void ReplacePosition(size_t pos, const Index& k, kernel::IndexId id) {
+    NoteSelected(selected_ids_[pos], false);
+    selected_[pos] = k;
+    selected_ids_[pos] = id;
+    append_fresh_[pos] = 0;
+    NoteSelected(id, true);
+    MarkAttribute(engine_.arena().leading(id));
+  }
+
   /// Commits `move`; an append finishes by letting the morphed index
   /// inherit the replaced index's dense cost row (delta costing — only
   /// re-estimated slots were written before this).
-  void Commit(const Move& move) {
+  void CommitMove(const Move& move) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     IDXSEL_DCHECK(!move.after.empty());  // MaterializeMove ran
@@ -1173,8 +1393,7 @@ class Runner {
     if (move.kind == StepKind::kNewSingle ||
         move.kind == StepKind::kNewPair) {
       const size_t pos = selected_.size();
-      selected_.push_back(move.after);
-      selected_ids_.push_back(move.after_id);
+      AddPosition(move.after, move.after_id);
       const auto& posting = w_.queries_with(arena.leading(move.after_id));
       for (uint32_t s = 0; s < posting.size(); ++s) {
         InsertCost(posting[s], pos,
@@ -1220,8 +1439,7 @@ class Runner {
         }
         affected_scratch_.push_back(j);
       }
-      selected_[move.selected_pos] = move.after;
-      selected_ids_[move.selected_pos] = move.after_id;
+      ReplacePosition(move.selected_pos, move.after, move.after_id);
       for (workload::QueryId j : affected_scratch_) RecomputeQuery(j);
       // Every query not re-estimated above keeps f_j(k ⊕ a) == f_j(k)
       // (cost-model invariant), so the new row inherits the old one.
@@ -1247,6 +1465,8 @@ class Runner {
   /// Used for queries affected by a replacement.
   void RecomputeQuery(workload::QueryId j) {
     const double old_best = best_cost_[j];
+    const double old_second = second_cost_[j];
+    const size_t old_owner = best_owner_[j];
     double b1 = engine_.BaseCost(j);
     double b2 = std::numeric_limits<double>::infinity();
     size_t owner = kNoOwner;
@@ -1265,12 +1485,22 @@ class Runner {
     second_cost_[j] = b2;
     best_owner_[j] = owner;
     objective_ += w_.query(j).frequency * (b1 - old_best);
+    if (!ExactlyEqual(b1, old_best) || !ExactlyEqual(b2, old_second) ||
+        owner != old_owner) {
+      MarkQuery(j);
+    }
   }
 
-  /// Rebuilds every per-query and objective bookkeeping from selected_.
+  /// Rebuilds every per-query and objective bookkeeping from selected_,
+  /// and drops every cached move.
   void RebuildState() {
     objective_ = 0.0;
     used_memory_ = 0.0;
+    memo_reset_ = true;
+    append_moves_.resize(selected_.size());
+    append_fresh_.assign(selected_.size(), 0);
+    single_selected_.assign(w_.num_attributes(), 0);
+    for (kernel::IndexId id : selected_ids_) NoteSelected(id, true);
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
       best_cost_[j] = engine_.BaseCost(j);
       second_cost_[j] = std::numeric_limits<double>::infinity();
@@ -1316,7 +1546,7 @@ class Runner {
 
       for (workload::AttributeId i : eligible_singles_) {
         if (poller_.Expired()) return;  // committed swaps already improved
-        if (SingleSelected(i)) continue;
+        if (single_selected_[i] != 0) continue;
         const Index k(i);
         const double gain =
             SingleBenefit(i) - engine_.MaintenancePenalty(k);
@@ -1408,11 +1638,16 @@ class Runner {
         EmitPruneRecord(selected_[p], step.objective_before,
                         step.objective_after, step.memory_delta);
       }
+      NoteSelected(selected_ids_[p], false);
       selected_.erase(selected_.begin() + static_cast<long>(p));
       selected_ids_.erase(selected_ids_.begin() + static_cast<long>(p));
+      append_moves_.erase(append_moves_.begin() + static_cast<long>(p));
+      append_fresh_.erase(append_fresh_.begin() + static_cast<long>(p));
     }
-    // Positions shifted: rebuild the per-query owner bookkeeping (Remark-2
-    // runs keep no owners, and their costs did not change).
+    // Positions shifted: every cached move is suspect, and the per-query
+    // owner bookkeeping is rebuilt (Remark-2 runs keep no owners, and
+    // their costs did not change).
+    if (any_dropped) memo_reset_ = true;
     if (any_dropped && !opts_.multi_index_eval) {
       for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
         RecomputeQuery(j);
@@ -1449,12 +1684,30 @@ class Runner {
   /// (workload::Query::frequency sits inside an AoS Query record).
   std::vector<double> freq_;
   std::vector<workload::QueryId> affected_scratch_;
-  // Move buffers of EvaluateUnits, members so steady-state rounds reuse
-  // their capacity instead of reallocating per round.
-  std::vector<Move> serial_moves_;
-  std::vector<std::vector<Move>> unit_buffers_;
   std::vector<kernel::IndexId> selected_ids_;  ///< Parallel to selected_.
   std::vector<kernel::IndexId> single_ids_;    ///< Per attribute: id of {i}.
+  /// Per attribute: {i} is selected — step (3a)'s disjointness test in
+  /// O(1) instead of a scan of the selection.
+  std::vector<char> single_selected_;
+
+  // The move memo (see "Move memo" above). Slots are written by their own
+  // unit only, so parallel lanes never share one.
+  std::vector<Move> single_moves_;     ///< Per eligible single: its move.
+  std::vector<char> single_has_move_;  ///< ... or none ({i} selected).
+  std::vector<std::vector<Move>> append_moves_;  ///< Parallel to selected_.
+  std::vector<char> append_fresh_;     ///< Parallel to selected_.
+  std::vector<std::vector<Move>> pair_moves_;  ///< Unmemoized, per round.
+  std::vector<char> attr_marked_;      ///< Per attribute: marked stale.
+  std::vector<workload::AttributeId> marked_attrs_;
+  std::vector<uint32_t> stale_units_;  ///< EvaluateRound scratch
+  bool memo_reset_ = true;  ///< Every unit stale (first round, prune, swap).
+  bool round_ready_ = false;  ///< The next round's moves are cached.
+  Move best_;        ///< Best move of the last fold.
+  Move runner_up_;   ///< Its runner-up (Remark 1(3)).
+  RecursiveResult result_;
+  Stopwatch watch_;
+  uint64_t calls_before_ = 0;
+  bool dead_on_arrival_ = false;
   /// Mask-filtered query count; atomic because parallel evaluation units
   /// flush their per-unit tallies concurrently. Published to
   /// idxsel.kernel.filtered_queries in the end-of-run batch.
@@ -1490,5 +1743,33 @@ RecursiveResult SelectRecursive(WhatIfEngine& engine,
   Runner runner(engine, options);
   return runner.Run();
 }
+
+struct RecursiveSession::Impl {
+  Impl(WhatIfEngine& engine, const RecursiveOptions& opts)
+      : options(opts), runner(engine, options) {}
+  RecursiveOptions options;  // the runner borrows it
+  Runner runner;
+  ConstructionStep proposal;
+  bool started = false;
+};
+
+RecursiveSession::RecursiveSession(WhatIfEngine& engine,
+                                   const RecursiveOptions& options)
+    : impl_(std::make_unique<Impl>(engine, options)) {
+  impl_->started = impl_->runner.Start();
+}
+
+RecursiveSession::~RecursiveSession() { impl_->runner.PublishMetrics(); }
+
+const ConstructionStep* RecursiveSession::Propose(double budget) {
+  if (!impl_->started || impl_->runner.expired()) return nullptr;
+  if (!impl_->runner.Propose(budget)) return nullptr;
+  impl_->proposal = impl_->runner.Proposal();
+  return &impl_->proposal;
+}
+
+void RecursiveSession::Commit() { impl_->runner.Commit(); }
+
+bool RecursiveSession::timed_out() const { return impl_->runner.expired(); }
 
 }  // namespace idxsel::core

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,6 +149,42 @@ struct RecursiveResult {
 /// Example 1(i) — the setting of every evaluation in the paper).
 RecursiveResult SelectRecursive(WhatIfEngine& engine,
                                 const RecursiveOptions& options);
+
+/// Algorithm 1 stepped by its caller — the shard arbiter's view of one
+/// shard (doc/sharding.md). Runs the same code as SelectRecursive: the
+/// constructor does the setup (base costs, the step-2 ranking), and each
+/// Propose/Commit pair is one construction step. The budget is a
+/// per-Propose argument because it only filters moves: the first Propose
+/// after a commit evaluates the round, later ones re-fold the cached
+/// moves under the new budget and evaluate nothing. `options.budget`,
+/// `max_steps` and the post-construction passes (`swap_repair`) are
+/// ignored; the caller decides when to stop. Not thread-safe; one thread
+/// at a time may drive a session.
+class RecursiveSession {
+ public:
+  RecursiveSession(WhatIfEngine& engine, const RecursiveOptions& options);
+  /// Publishes the session's selector metrics (runs, rounds, evals).
+  ~RecursiveSession();
+
+  RecursiveSession(const RecursiveSession&) = delete;
+  RecursiveSession& operator=(const RecursiveSession&) = delete;
+
+  /// The best next step under `budget` (kind, before, after, memory
+  /// delta, ratio), or nullptr when no move qualifies — construction is
+  /// over at this budget — or the deadline cut the evaluation short
+  /// (timed_out()). Valid until the next Propose or Commit.
+  const ConstructionStep* Propose(double budget);
+
+  /// Commits the step the last non-null Propose returned.
+  void Commit();
+
+  /// The deadline expired (at setup or mid-evaluation).
+  bool timed_out() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 }  // namespace idxsel::core
 

@@ -431,9 +431,9 @@ class WhatIfEngine {
   exec::ShardedMap<Index, double, IndexHash> maintenance_cache_;
   std::vector<QueryId> write_queries_;  // precomputed at construction
 
-  /// Dense-id-addressed state. Heap-allocated: the block-pointer
-  /// directories inside the tables are hundreds of KB and the engine is
-  /// routinely stack-constructed.
+  /// Dense-id-addressed state. Its tables start with small block
+  /// directories that grow on demand (kernel::BlockDirectory), so an
+  /// engine that is built but barely used stays small.
   struct DenseState {
     explicit DenseState(const workload::Workload& w) : masks(w) {}
     kernel::IndexArena arena;

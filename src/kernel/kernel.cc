@@ -11,9 +11,7 @@ namespace idxsel::kernel {
 // -- IndexArena -------------------------------------------------------------
 
 IndexArena::~IndexArena() {
-  for (auto& slot : blocks_) {
-    delete[] slot.load(std::memory_order_relaxed);
-  }
+  blocks_.ForEach([](Entry* block) { delete[] block; });
 }
 
 const AttributeId* IndexArena::PoolCopy(const AttributeId* attrs,
@@ -46,10 +44,10 @@ IndexId IndexArena::Intern(const AttributeId* attrs, uint32_t width) {
   const size_t n = count_.load(std::memory_order_relaxed);
   IDXSEL_CHECK_LT(n, kMaxBlocks * kBlockSize);
   const size_t block_idx = n >> kBlockShift;
-  Entry* block = blocks_[block_idx].load(std::memory_order_relaxed);
+  Entry* block = blocks_.Get(block_idx);
   if (block == nullptr) {
     block = new Entry[kBlockSize];
-    blocks_[block_idx].store(block, std::memory_order_release);
+    blocks_.Set(block_idx, block);
   }
   Entry& e = block[n & kBlockMask];
 #ifndef NDEBUG
@@ -102,60 +100,54 @@ bool IndexArena::Less(IndexId a, IndexId b) const {
 // -- DenseValueTable --------------------------------------------------------
 
 DenseValueTable::~DenseValueTable() {
-  for (auto& slot : blocks_) {
-    delete[] slot.load(std::memory_order_relaxed);
-  }
+  blocks_.ForEach([](std::atomic<double>* block) { delete[] block; });
 }
 
 void DenseValueTable::Put(IndexId id, double value) {
   const size_t block_idx = id >> kBlockShift;
   IDXSEL_CHECK_LT(block_idx, kMaxBlocks);
-  std::atomic<double>* block = blocks_[block_idx].load(std::memory_order_acquire);
+  std::atomic<double>* block = blocks_.Get(block_idx);
   if (block == nullptr) {
     common::MutexLock lock(&mu_);
-    block = blocks_[block_idx].load(std::memory_order_relaxed);
+    block = blocks_.Get(block_idx);
     if (block == nullptr) {
       block = new std::atomic<double>[kBlockSize];
       for (size_t u = 0; u < kBlockSize; ++u) {
         block[u].store(kUnset(), std::memory_order_relaxed);
       }
-      blocks_[block_idx].store(block, std::memory_order_release);
+      blocks_.Set(block_idx, block);
     }
   }
   block[id & kBlockMask].store(value, std::memory_order_relaxed);
 }
 
 void DenseValueTable::Invalidate() {
-  for (auto& slot : blocks_) {
-    std::atomic<double>* block = slot.load(std::memory_order_acquire);
-    if (block == nullptr) continue;
+  blocks_.ForEach([](std::atomic<double>* block) {
     for (size_t u = 0; u < kBlockSize; ++u) {
       block[u].store(kUnset(), std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 // -- DenseCostTable ---------------------------------------------------------
 
 DenseCostTable::~DenseCostTable() {
-  for (auto& slot : blocks_) {
-    delete[] slot.load(std::memory_order_relaxed);
-  }
+  blocks_.ForEach([](std::atomic<Row*>* block) { delete[] block; });
 }
 
 DenseCostTable::Row* DenseCostTable::EnsureRow(IndexId id, uint32_t row_len) {
   const size_t block_idx = id >> kBlockShift;
   IDXSEL_CHECK_LT(block_idx, kMaxBlocks);
-  std::atomic<Row*>* block = blocks_[block_idx].load(std::memory_order_acquire);
+  std::atomic<Row*>* block = blocks_.Get(block_idx);
   if (block == nullptr) {
     common::MutexLock lock(&mu_);
-    block = blocks_[block_idx].load(std::memory_order_relaxed);
+    block = blocks_.Get(block_idx);
     if (block == nullptr) {
       block = new std::atomic<Row*>[kBlockSize];
       for (size_t u = 0; u < kBlockSize; ++u) {
         block[u].store(nullptr, std::memory_order_relaxed);
       }
-      blocks_[block_idx].store(block, std::memory_order_release);
+      blocks_.Set(block_idx, block);
     }
   }
   std::atomic<Row*>& slot = block[id & kBlockMask];

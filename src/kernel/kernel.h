@@ -137,12 +137,93 @@ class QueryMasks {
   bool exact_;
 };
 
+// -- Block directory ----------------------------------------------------------
+
+/// Grow-only directory of atomic block pointers, the spine of the arena
+/// and the dense tables. It starts small and doubles on demand, so an
+/// engine that never looks anything up costs a few bytes instead of a
+/// zero-filled array sized for the capacity cap.
+///
+/// Readers take one acquire load of the current directory plus a bounds
+/// check; a block beyond it reads as absent. Set() runs under the owning
+/// table's mutex: growth copies the slots into a directory twice the size
+/// and publishes it with a release store. A concurrent reader may still
+/// hold a retired directory — it sees the blocks published before the
+/// copy, exactly what it would have seen a moment earlier — so retired
+/// directories are freed only in the destructor. Blocks themselves are
+/// owned by the table.
+template <typename T>
+class BlockDirectory {
+ public:
+  BlockDirectory() : current_(Retain(std::make_unique<Dir>(kInitialSlots))) {}
+  BlockDirectory(const BlockDirectory&) = delete;
+  BlockDirectory& operator=(const BlockDirectory&) = delete;
+
+  /// Block `b`, or nullptr when it was never set.
+  T* Get(size_t b) const {
+    const Dir* dir = current_.load(std::memory_order_acquire);
+    if (b >= dir->size) return nullptr;
+    return dir->slots[b].load(std::memory_order_acquire);
+  }
+
+  /// Publishes block `b`, growing the directory to hold it. Callers
+  /// serialize Set() under their mutex.
+  void Set(size_t b, T* block) {
+    Dir* dir = current_.load(std::memory_order_relaxed);
+    if (b >= dir->size) {
+      size_t size = dir->size;
+      while (size <= b) size *= 2;
+      auto grown = std::make_unique<Dir>(size);
+      for (size_t u = 0; u < dir->size; ++u) {
+        grown->slots[u].store(dir->slots[u].load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+      }
+      dir = Retain(std::move(grown));
+      current_.store(dir, std::memory_order_release);
+    }
+    dir->slots[b].store(block, std::memory_order_release);
+  }
+
+  /// Calls f(block) for every set block, in index order. Not safe
+  /// concurrently with Set().
+  template <typename F>
+  void ForEach(F f) const {
+    const Dir* dir = current_.load(std::memory_order_acquire);
+    for (size_t u = 0; u < dir->size; ++u) {
+      if (T* block = dir->slots[u].load(std::memory_order_acquire)) f(block);
+    }
+  }
+
+ private:
+  static constexpr size_t kInitialSlots = 4;
+
+  struct Dir {
+    explicit Dir(size_t n)
+        : size(n), slots(std::make_unique<std::atomic<T*>[]>(n)) {
+      for (size_t u = 0; u < n; ++u) {
+        slots[u].store(nullptr, std::memory_order_relaxed);
+      }
+    }
+    size_t size;
+    std::unique_ptr<std::atomic<T*>[]> slots;
+  };
+
+  Dir* Retain(std::unique_ptr<Dir> dir) {
+    dirs_.push_back(std::move(dir));
+    return dirs_.back().get();
+  }
+
+  /// Every directory ever published; the last one is current.
+  std::vector<std::unique_ptr<Dir>> dirs_;
+  std::atomic<Dir*> current_;
+};
+
 // -- Index arena ------------------------------------------------------------
 
 /// Interns ordered attribute tuples; assigns dense, never-reused ids.
 ///
-/// Storage is chunked (kBlockSize entries per block, published through
-/// atomic block pointers) so entry addresses are stable for the arena's
+/// Storage is chunked (kBlockSize entries per block, published through a
+/// grow-only BlockDirectory) so entry addresses are stable for the arena's
 /// lifetime and concurrent readers never race with growth. Tuples of up
 /// to kInlineAttrs attributes are stored inline in the entry; wider ones
 /// live in the arena's contiguous overflow pool (also chunked, also
@@ -206,8 +287,7 @@ class IndexArena {
 
   const Entry& entry(IndexId id) const {
     IDXSEL_DCHECK(id < count_.load(std::memory_order_acquire));
-    return blocks_[id >> kBlockShift].load(std::memory_order_acquire)
-        [id & kBlockMask];
+    return blocks_.Get(id >> kBlockShift)[id & kBlockMask];
   }
 
   /// Copies `attrs` into the contiguous overflow pool; returns the stable
@@ -223,7 +303,7 @@ class IndexArena {
 
   mutable common::Mutex mu_;
   std::atomic<size_t> count_{0};
-  std::atomic<Entry*> blocks_[kMaxBlocks] = {};
+  BlockDirectory<Entry> blocks_;  ///< Set() under mu_; lock-free reads
   // tuple hash -> interned ids with that hash (collisions resolved by
   // comparing the tuples themselves).
   std::unordered_multimap<uint64_t, IndexId> interned_ IDXSEL_GUARDED_BY(mu_);
@@ -248,8 +328,7 @@ class DenseValueTable {
 
   /// NaN when unset.
   double Get(IndexId id) const {
-    const std::atomic<double>* block =
-        blocks_[id >> kBlockShift].load(std::memory_order_acquire);
+    const std::atomic<double>* block = blocks_.Get(id >> kBlockShift);
     if (block == nullptr) return kUnset();
     return block[id & kBlockMask].load(std::memory_order_relaxed);
   }
@@ -274,9 +353,9 @@ class DenseValueTable {
   static constexpr size_t kMaxBlocks = 1 << 14;
 
   // idxsel-lint: allow(guarded-field) reason=serializes block allocation
-  // only; the slots are atomics published through atomic block pointers
+  // only; the slots are atomics published through the directory
   common::Mutex mu_;
-  std::atomic<std::atomic<double>*> blocks_[kMaxBlocks] = {};
+  BlockDirectory<std::atomic<double>> blocks_;
 };
 
 // -- Dense per-(id, posting-slot) cost table --------------------------------
@@ -346,8 +425,7 @@ class DenseCostTable {
   static constexpr size_t kMaxBlocks = 1 << 16;
 
   const Row* FindRow(IndexId id) const {
-    const std::atomic<Row*>* block =
-        blocks_[id >> kBlockShift].load(std::memory_order_acquire);
+    const std::atomic<Row*>* block = blocks_.Get(id >> kBlockShift);
     if (block == nullptr) return nullptr;
     return block[id & kBlockMask].load(std::memory_order_acquire);
   }
@@ -355,7 +433,7 @@ class DenseCostTable {
   Row* EnsureRow(IndexId id, uint32_t row_len);
 
   common::Mutex mu_;  // block/row allocation only
-  std::atomic<std::atomic<Row*>*> blocks_[kMaxBlocks] = {};
+  BlockDirectory<std::atomic<Row*>> blocks_;
   std::vector<std::unique_ptr<Row>> rows_ IDXSEL_GUARDED_BY(mu_);  // ownership
 };
 

@@ -1,7 +1,7 @@
 #include "shard/sharded_selector.h"
 
 #include <algorithm>
-#include <atomic>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -34,22 +34,8 @@ struct ShardedSelector::ShardState {
   std::unique_ptr<costmodel::WhatIfBackend> wrapped;
   std::unique_ptr<costmodel::WhatIfEngine> engine;
 
-  /// The cached per-shard H6 run: `run` holds the trace of a
-  /// SelectRecursive call at budget `run_budget` capped at `run_cap`
-  /// steps. Valid for answering "what is step m?" iff the budget matches
-  /// and either the trace reaches m or it stopped naturally short of the
-  /// cap (then no step m exists at this budget).
-  core::RecursiveResult run;
-  double run_budget = 0.0;
-  size_t run_cap = 0;
-  bool has_run = false;
-
   bool dirty = false;
 
-  // Monotone per-state counters (single-writer: one ParallelFor lane or
-  // the serial arbitration loop).
-  uint64_t runs = 0;
-  uint64_t reruns = 0;
   /// Backend calls of engines this state already discarded (rebuilds).
   uint64_t calls_retired = 0;
 
@@ -65,31 +51,23 @@ struct ShardedSelector::ShardState {
 ShardedSelector::ShardedSelector(costmodel::WhatIfEngine& engine,
                                  const ShardedOptions& options)
     : engine_(engine), options_(options) {
+  // PartitionByTable already built every shard's view; only the backends
+  // and engines over them remain.
   set_ = PartitionByTable(engine_.workload(), options_.shards,
                           options_.compression);
   states_.reserve(set_.shards.size());
   for (size_t s = 0; s < set_.shards.size(); ++s) {
     states_.push_back(std::make_unique<ShardState>());
-    RebuildShard(s);
-    states_[s]->dirty = false;
+    AttachEngine(s);
   }
 }
 
 ShardedSelector::~ShardedSelector() = default;
 
-void ShardedSelector::RebuildShard(size_t s) {
+void ShardedSelector::AttachEngine(size_t s) {
   ShardState& st = *states_[s];
-  if (st.engine) st.calls_retired += st.engine->stats().calls;
-  st.engine.reset();
-  st.wrapped.reset();
-  st.view.reset();
-  // Rebuild the local view from the LIVE workload (frequencies may have
-  // shifted); the table list — and hence the partition — never changes
-  // for the lifetime of the selector. The slot address is stable (the
-  // shard vector is never resized), so borrowing &set_.shards[s] is safe.
-  std::vector<workload::TableId> tables = set_.shards[s].tables;
-  set_.shards[s] = BuildShardWorkload(engine_.workload(), std::move(tables),
-                                      options_.compression);
+  // The slot address is stable (the shard vector is never resized), so
+  // borrowing &set_.shards[s] is safe.
   st.view = std::make_unique<ShardViewBackend>(&set_.shards[s],
                                                &engine_.backend());
   costmodel::WhatIfBackend* backend = st.view.get();
@@ -99,9 +77,22 @@ void ShardedSelector::RebuildShard(size_t s) {
   }
   st.engine = std::make_unique<costmodel::WhatIfEngine>(&set_.shards[s].local,
                                                         backend);
-  st.run = core::RecursiveResult();
-  st.has_run = false;
   st.dirty = false;
+}
+
+void ShardedSelector::RebuildShard(size_t s) {
+  ShardState& st = *states_[s];
+  if (st.engine) st.calls_retired += st.engine->stats().calls;
+  st.engine.reset();
+  st.wrapped.reset();
+  st.view.reset();
+  // Rebuild the local view from the LIVE workload (frequencies may have
+  // shifted); the table list — and hence the partition — never changes
+  // for the lifetime of the selector.
+  std::vector<workload::TableId> tables = set_.shards[s].tables;
+  set_.shards[s] = BuildShardWorkload(engine_.workload(), std::move(tables),
+                                      options_.compression);
+  AttachEngine(s);
 }
 
 void ShardedSelector::MarkDirty(workload::TableId table) {
@@ -109,45 +100,6 @@ void ShardedSelector::MarkDirty(workload::TableId table) {
   const uint32_t s = set_.table_shard[table];
   if (s == ShardSet::kNoShard) return;
   states_[s]->dirty = true;
-}
-
-// ---------------------------------------------------------------------------
-// Per-shard runs.
-// ---------------------------------------------------------------------------
-
-bool ShardedSelector::EnsureRun(ShardState& st, double run_budget,
-                                size_t min_steps) {
-  if (st.has_run && st.run.status.ok() &&
-      ExactlyEqual(st.run_budget, run_budget) &&
-      (st.run.trace.size() >= min_steps ||
-       st.run.trace.size() < st.run_cap)) {
-    return true;
-  }
-  if (st.has_run) ++st.reruns;
-  ++st.runs;
-  core::RecursiveOptions ropts;
-  ropts.budget = run_budget;
-  // Cap exactly at the step the arbiter needs. Deeper lookahead would be
-  // fewer re-runs, but it commits moves the global run may never reach —
-  // evaluating candidate sets (and issuing what-if calls) the unsharded
-  // run never issues. With cap == need, the union of keys the shard
-  // engines consult is EXACTLY the unsharded run's key set, so
-  // whatif_calls is invariant across shard counts; the re-runs this costs
-  // replay warm-cache prefixes (no backend work). doc/sharding.md §calls.
-  ropts.max_steps = min_steps;
-  ropts.min_ratio = options_.min_ratio;
-  ropts.max_index_width = options_.max_index_width;
-  ropts.threads = 1;
-  ropts.deadline = deadline_;
-  // Inner H6 journals are muted: shards run concurrently and re-runs
-  // replay committed prefixes, so raw records would interleave and
-  // duplicate. The arbiter emits the canonical records instead.
-  telemetry::ScopedJournalSuppress mute;
-  st.run = core::SelectRecursive(*st.engine, ropts);
-  st.run_budget = run_budget;
-  st.run_cap = min_steps;
-  st.has_run = true;
-  return st.run.status.ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +154,6 @@ void EmitShardStop(uint64_t round, double objective, double memory,
 
 ShardedResult ShardedSelector::Select(double budget, double cost_before,
                                       const rt::Deadline& deadline) {
-  deadline_ = deadline;
   const size_t num_shards = states_.size();
   ShardedResult out;
   out.stats.shards_used = num_shards;
@@ -224,35 +175,57 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   }
 
   std::vector<uint64_t> calls_before(num_shards);
-  std::vector<uint64_t> reruns_before(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     calls_before[s] = states_[s]->calls_total();
-    reruns_before[s] = states_[s]->reruns;
     out.stats.queries_full += set_.shards[s].source_queries;
     out.stats.queries_compressed += set_.shards[s].local.num_queries();
   }
 
-  // Initial per-shard expansions, in parallel: each shard's first run
-  // carries the expensive part (base costs, single-attribute ranking,
-  // round-1 evaluation — the bulk of the backend calls). Later re-runs
-  // happen serially inside the deterministic arbitration loop, where they
-  // replay warm caches.
+  // One live H6 session per shard for this Select. The arbiter steps it —
+  // Propose, then Commit — so each shard evaluates its round c+1 exactly
+  // once, after its step c commits. A proposal is cached until its shard
+  // commits or its budget is clamped; a clamp only re-folds the shard's
+  // cached moves.
+  core::RecursiveOptions ropts;
+  ropts.min_ratio = options_.min_ratio;
+  ropts.max_index_width = options_.max_index_width;
+  ropts.threads = 1;
+  ropts.deadline = deadline;
+  std::vector<std::unique_ptr<core::RecursiveSession>> sessions(num_shards);
+  std::vector<const core::ConstructionStep*> proposal(num_shards, nullptr);
+  std::vector<Index> proposal_global(num_shards);  // `after`, global ids
+  std::vector<char> proposal_fresh(num_shards, 0);
+  std::vector<double> shard_budget(num_shards, budget);
+  const auto propose = [&](size_t s) {
+    proposal[s] = sessions[s]->Propose(shard_budget[s]);
+    if (proposal[s] != nullptr) {
+      proposal_global[s] = states_[s]->view->ToGlobal(proposal[s]->after);
+    }
+    proposal_fresh[s] = 1;
+  };
+
+  // Setup and first proposals in parallel: they carry the expensive part
+  // (base costs, single-attribute ranking, round-1 evaluation — the bulk
+  // of the backend calls). Later rounds run serially inside the
+  // deterministic arbitration loop.
   {
     const size_t lanes =
         std::min(exec::ResolveThreads(options_.threads), num_shards);
-    std::atomic<bool> expired{false};
-    auto prefetch = [&](size_t s) {
-      if (!EnsureRun(*states_[s], budget, 1)) {
-        expired.store(true, std::memory_order_relaxed);
-      }
+    auto open = [&](size_t s) {
+      // Inner H6 journals are muted: shards run concurrently, so raw
+      // records would interleave. The arbiter emits the canonical records
+      // instead. The session samples the journal gate once, here.
+      telemetry::ScopedJournalSuppress mute;
+      sessions[s] =
+          std::make_unique<core::RecursiveSession>(*states_[s]->engine, ropts);
+      propose(s);
     };
     if (lanes > 1) {
       exec::ThreadPool pool(lanes);
-      pool.ParallelFor(num_shards, prefetch, 1);
+      pool.ParallelFor(num_shards, open, 1);
     } else {
-      for (size_t s = 0; s < num_shards; ++s) prefetch(s);
+      for (size_t s = 0; s < num_shards; ++s) open(s);
     }
-    (void)expired;  // the arbitration loop re-detects per-shard timeouts
   }
 
   // -- Global mirror of the unsharded run's bookkeeping ---------------------
@@ -293,7 +266,6 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   }
   double used = 0.0;
 
-  std::vector<size_t> cursor(num_shards, 0);
   std::vector<double> committed(num_shards, 0.0);
   std::vector<char> done(num_shards, 0);
   uint64_t rounds = 0;
@@ -310,55 +282,50 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     // computed under a generous budget b >= committed[s] + remaining is
     // the true next move whenever its delta fits `remaining`: shrinking
     // the budget only rejects moves, and a winner that survives the extra
-    // rejections is still the winner. On a misfit the shard is re-expanded
-    // at the exact marginal budget — the replayed prefix is unchanged (its
-    // moves fit by construction) and the fresh step, filtered by the
-    // re-run's own budget check, always fits. doc/sharding.md §arbiter.
+    // rejections is still the winner. On a misfit the shard's budget is
+    // clamped to the exact marginal budget and its cached round re-folded
+    // — the fresh proposal, filtered by the session's own budget check,
+    // always fits. doc/sharding.md §arbiter.
     size_t best_s = num_shards;
     const core::ConstructionStep* best_step = nullptr;
-    Index best_after_global;
     for (size_t s = 0; s < num_shards && !timed_out; ++s) {
       if (done[s]) continue;
-      ShardState& st = *states_[s];
-      const core::ConstructionStep* proposal = nullptr;
+      const core::ConstructionStep* fit = nullptr;
       for (;;) {
-        const double want = st.has_run ? st.run_budget : budget;
-        if (!EnsureRun(st, want, cursor[s] + 1)) {
+        if (!proposal_fresh[s]) propose(s);
+        if (sessions[s]->timed_out()) {
           timed_out = true;
           break;
         }
-        if (st.run.trace.size() <= cursor[s]) {
+        if (proposal[s] == nullptr) {
           // Exhausted under a budget >= the true marginal budget; since
           // `remaining` only shrinks, this shard is finished for good.
           done[s] = 1;
           break;
         }
-        const core::ConstructionStep& step = st.run.trace[cursor[s]];
-        if (used + step.memory_delta <= budget + kEps) {  // H6's check
-          proposal = &step;
+        // H6's budget check, on the global `used`.
+        if (used + proposal[s]->memory_delta <= budget + kEps) {
+          fit = proposal[s];
           break;
         }
         const double clamped = committed[s] + (budget - used);
-        if (ExactlyEqual(clamped, want)) {
-          // Unreachable: a run at the exact marginal budget only proposes
-          // fitting steps (its internal check is the arbiter's, shifted
-          // by committed[s]). Defensive stop rather than a spin.
+        if (ExactlyEqual(clamped, shard_budget[s])) {
+          // Unreachable: a proposal at the exact marginal budget always
+          // fits (the session's check is the arbiter's, shifted by
+          // committed[s]). Defensive stop rather than a spin.
           done[s] = 1;
           break;
         }
-        if (!EnsureRun(st, clamped, cursor[s] + 1)) {
-          timed_out = true;
-          break;
-        }
+        shard_budget[s] = clamped;
+        proposal_fresh[s] = 0;
+        ++out.stats.reruns;
       }
-      if (proposal == nullptr) continue;
-      Index after_global = st.view->ToGlobal(proposal->after);
+      if (fit == nullptr) continue;
       if (best_step == nullptr ||
-          StepBetter(*proposal, after_global, *best_step,
-                     best_after_global)) {
+          StepBetter(*fit, proposal_global[s], *best_step,
+                     proposal_global[best_s])) {
         best_s = s;
-        best_step = proposal;
-        best_after_global = std::move(after_global);
+        best_step = fit;
       }
     }
     if (timed_out) break;
@@ -371,9 +338,13 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     costmodel::WhatIfEngine& eng = *st.engine;
     std::vector<double>& best = best_cost[best_s];
     std::vector<Index>& sel = selected[best_s];
-    const core::ConstructionStep step = *best_step;  // copy: re-runs invalidate
+    const core::ConstructionStep step = *best_step;  // copy: outlives Propose
     IDXSEL_CHECK(step.kind == core::StepKind::kNewSingle ||
                  step.kind == core::StepKind::kAppend);
+    // The session commits first, so the mirror below reads the costs the
+    // shard's own bookkeeping just read — warm, in the same order.
+    sessions[best_s]->Commit();
+    proposal_fresh[best_s] = 0;
 
     const double objective_before = objective;
     objective += eng.MaintenancePenalty(step.after);
@@ -423,7 +394,6 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     }
     used += step.memory_delta;
     committed[best_s] += step.memory_delta;
-    ++cursor[best_s];
     ++rounds;
 
     core::ConstructionStep global_step;
@@ -431,7 +401,7 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     if (step.kind == core::StepKind::kAppend) {
       global_step.before = st.view->ToGlobal(step.before);
     }
-    global_step.after = std::move(best_after_global);
+    global_step.after = std::move(proposal_global[best_s]);
     global_step.objective_before = objective_before;
     global_step.objective_after = objective;
     global_step.memory_delta = step.memory_delta;
@@ -457,8 +427,6 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
       out.selection.Insert(states_[s]->view->ToGlobal(k));
     }
     out.whatif_calls += states_[s]->calls_total() - calls_before[s];
-    out.stats.shard_runs += states_[s]->runs;
-    out.stats.reruns += states_[s]->reruns - reruns_before[s];
     if (!states_[s]->engine->health().ok()) {
       ++out.stats.degraded_shards;
       out.degraded = true;
@@ -466,6 +434,7 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   }
   out.objective = objective;
   out.memory = used;
+  out.stats.shard_runs = num_shards;
   out.stats.arbiter_rounds = rounds;
   telemetry::Add(telemetry::Slot::kShardArbiterRounds,
                  static_cast<int64_t>(rounds));

@@ -1,16 +1,15 @@
 // Sharded Algorithm 1 with a global budget arbiter.
 //
-// Each shard runs plain H6 (core::SelectRecursive) on its private view
-// under a *generous* budget assumption, producing a trace of candidate
-// moves; the arbiter greedily merges the shards' next-move proposals on
-// benefit-per-byte ratio — exactly the step criterion of the global run —
-// and commits them against the one shared budget. When the arbiter's
-// marginal budget diverges from a shard's local assumption (the proposal
-// no longer fits what is left), the shard is re-expanded at the clamped
-// budget committed_s + remaining; the re-run reproduces the already
-// consumed trace prefix bit-for-bit (smaller budgets only reject moves
-// that had already lost) and then yields the true next move. Re-runs hit
-// the shard engine's warm caches, so they cost no backend calls.
+// Each shard drives one live H6 session (core::RecursiveSession) on its
+// private view for the whole Select; the arbiter greedily merges the
+// shards' next-move proposals on benefit-per-byte ratio — exactly the step
+// criterion of the global run — and commits them against the one shared
+// budget. A session proposes under a *generous* budget assumption; when
+// the arbiter's marginal budget diverges from it (the proposal no longer
+// fits what is left), the shard's budget is clamped to committed_s +
+// remaining and its cached round re-folded: a smaller budget only rejects
+// moves, so the session's committed prefix stays valid and the re-fold
+// yields the true next move without evaluating anything.
 //
 // Exactness: on single-table-coupled workloads (every query touches one
 // table — the model of Section II-A) the committed move sequence, the
@@ -21,20 +20,24 @@
 // and the two epsilon-boundary caveats (cross-table exact ratio ties,
 // budget knife-edge FP reassociation).
 //
-// Lazy deepening: per-shard runs are step-capped (kLookahead moves past
-// the consumed cursor) so S shards never each run to full-budget
-// completion; caps are extended on demand. Work is ~R*M/S versus the
-// global run's R*M (R rounds, M moves per round), which is why the
-// sharded path wins wall-clock even single-threaded — bench_trajectory's
-// shard ladder asserts it.
+// Work: a shard evaluates its round c+1 once, after its step c commits,
+// and only the units that commit touched (the H6 move memo). Each
+// arbiter round therefore evaluates one shard's stale units and re-folds
+// one shard's moves; the other shards' proposals stay cached. That is
+// ~R*M/S against the global run's R*M (R rounds, M moves per round), why
+// the sharded path wins wall-clock even single-threaded —
+// bench_trajectory's shard ladder asserts it. Evaluating only after a
+// commit, never ahead, is also why whatif_calls does not depend on the
+// shard count: together the shard engines consult exactly the keys the
+// unsharded run consults (doc/sharding.md §calls).
 //
 // Journal discipline: inner per-shard H6 journals are suppressed
-// (telemetry::ScopedJournalSuppress) — shards run concurrently and
-// re-runs replay prefixes, so raw records would interleave and duplicate.
-// The arbiter emits its own lane ("shard"): one commit record per round
-// plus a terminal stop record, none of whose fields depend on the shard
-// or thread count. Shard-count-dependent numbers (shards used, re-runs)
-// go to idxsel.shard.* telemetry and bench sidecars only.
+// (telemetry::ScopedJournalSuppress) — shards run concurrently, so raw
+// records would interleave. The arbiter emits its own lane ("shard"): one
+// commit record per round plus a terminal stop record, none of whose
+// fields depend on the shard or thread count. Shard-count-dependent
+// numbers (shards used, budget clamps) go to idxsel.shard.* telemetry and
+// bench sidecars only.
 
 #ifndef IDXSEL_SHARD_SHARDED_SELECTOR_H_
 #define IDXSEL_SHARD_SHARDED_SELECTOR_H_
@@ -59,8 +62,9 @@ namespace idxsel::shard {
 struct ShardedOptions {
   /// Shard count (clamped to [1, query-bearing tables]).
   size_t shards = 1;
-  /// Lanes for the initial parallel per-shard runs (re-runs are serial —
-  /// they happen inside the deterministic arbitration loop). 1 = serial.
+  /// Lanes for the parallel session setup and first proposals (later
+  /// rounds are serial — they happen inside the deterministic arbitration
+  /// loop). 1 = serial.
   size_t threads = 1;
   /// Global commit cap / minimal improvement ratio / index width cap —
   /// same semantics as core::RecursiveOptions.
@@ -85,8 +89,8 @@ struct ShardedOptions {
 struct ShardedStats {
   size_t shards_used = 0;
   uint64_t arbiter_rounds = 0;  ///< committed moves
-  uint64_t shard_runs = 0;      ///< SelectRecursive invocations, total
-  uint64_t reruns = 0;          ///< re-expansions (extensions + clamps)
+  uint64_t shard_runs = 0;      ///< H6 sessions opened (one per shard)
+  uint64_t reruns = 0;          ///< budget clamps (re-folded proposals)
   uint64_t queries_full = 0;        ///< shard-local templates pre-compression
   uint64_t queries_compressed = 0;  ///< templates actually selected over
   size_t degraded_shards = 0;   ///< shards whose engine sanitized garbage
@@ -114,7 +118,8 @@ struct ShardedResult {
 
 /// Reusable sharded selector: partitions once, keeps per-shard engines
 /// (and their warm caches) across Select() calls, and rebuilds only
-/// shards marked dirty — the serve layer's incremental hook.
+/// shards marked dirty — the serve layer's incremental hook. H6 sessions
+/// live for one Select().
 class ShardedSelector {
  public:
   /// Borrows `engine` (for the live workload and the global backend);
@@ -142,19 +147,15 @@ class ShardedSelector {
  private:
   struct ShardState;
 
+  /// Builds shard `s`'s view backend and engine over set_.shards[s].
+  void AttachEngine(size_t s);
+  /// Rebuilds shard `s`'s view from the live workload, then its engine.
   void RebuildShard(size_t s);
-  /// Guarantees state holds a run at exactly `run_budget` able to answer
-  /// "what is step `min_steps - 1`?" (i.e. trace long enough, or proven
-  /// exhausted). Returns false when the deadline expired mid-run.
-  bool EnsureRun(ShardState& state, double run_budget, size_t min_steps);
 
   costmodel::WhatIfEngine& engine_;
   ShardedOptions options_;
   ShardSet set_;
   std::vector<std::unique_ptr<ShardState>> states_;
-  /// The active Select() call's deadline (EnsureRun forwards it into the
-  /// per-shard runs). Set on entry to Select.
-  rt::Deadline deadline_;
 };
 
 /// One-shot convenience wrapper.
