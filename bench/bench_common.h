@@ -46,24 +46,15 @@ inline double CophyTimeLimit() {
 // ---------------------------------------------------- sidecar provenance
 // Every bench JSON sidecar carries the same header so two runs can be
 // compared with their context attached: the schema tag of the document,
-// plus a provenance object with the git SHA and build type baked in at
-// configure time (benches.cmake) and the machine's hardware concurrency.
-
-#if !defined(IDXSEL_GIT_SHA)
-#define IDXSEL_GIT_SHA "unknown"
-#endif
-#if !defined(IDXSEL_BUILD_TYPE)
-#define IDXSEL_BUILD_TYPE "unspecified"
-#endif
+// plus a provenance object with the full git SHA, whether tracked files
+// differed from it, and the build type, all captured when the binary was
+// built (benches.cmake), and the machine's hardware concurrency.
 
 /// The shared provenance fragment: `"provenance": {...}` (no trailing
 /// comma or newline — callers splice it where their document needs it).
-inline std::string SidecarProvenanceJson() {
-  return std::string("\"provenance\": {\"git_sha\": \"" IDXSEL_GIT_SHA
-                     "\", \"build_type\": \"" IDXSEL_BUILD_TYPE
-                     "\", \"hardware_concurrency\": ") +
-         std::to_string(std::thread::hardware_concurrency()) + "}";
-}
+/// `git_dirty` is null outside a git checkout. Defined in
+/// bench_provenance.cc.
+std::string SidecarProvenanceJson();
 
 /// Opening fields of a custom sidecar document:
 /// `  "schema": "<schema>",\n  "provenance": {...},\n`.

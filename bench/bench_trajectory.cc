@@ -32,9 +32,7 @@
 
 #include "advisor/advisor.h"
 #include "bench_common.h"
-#include "common/float_cmp.h"
 #include "common/format.h"
-#include "kernel/simd.h"
 #include "obs/report.h"
 #include "obs/resource.h"
 #include "serve/service.h"
@@ -110,10 +108,6 @@ struct KernelSimdPoint {
   uint64_t fast_path_hits = 0;    ///< dense-row resolutions (deterministic)
   uint64_t fallback_lookups = 0;  ///< keyed-cache demotions (deterministic)
   uint64_t filtered_queries = 0;  ///< mask-filtered slots (deterministic)
-  /// 1 iff a forced-scalar rerun reproduced the native-dispatch run
-  /// exactly (steps, what-if calls, final objective) — the trajectory's
-  /// standing record that the SIMD layer stayed bit-identical.
-  uint64_t dispatch_identical = 1;
 };
 
 struct TrajectoryPoint {
@@ -233,47 +227,24 @@ ServePoint RunServe(const workload::Workload& w, double budget) {
   return point;
 }
 
-/// One serial H6 per dispatch pin (native, then forced scalar), each on
-/// a fresh engine: records the kernel counters of the
-/// native run and whether the scalar rerun was work-identical. All four
-/// fields are deterministic, so check-trajectory gates them exactly.
+/// One serial H6 on a fresh engine: the kernel counters of the run. All
+/// three are deterministic, so check-trajectory gates them exactly.
 KernelSimdPoint RunKernelSimd(const workload::Workload& w, double budget) {
-  KernelSimdPoint point;
   core::RecursiveOptions options;
   options.budget = budget;
   options.threads = 1;
-  struct Signature {
-    size_t steps = 0;
-    uint64_t whatif_calls = 0;
-    double objective = 0.0;
-  } sig[2];
-  for (int pin = 0; pin < 2; ++pin) {
-    kernel::simd::ScopedForceScalar scalar(pin == 1);
-    ModelSetup setup(w);
-    obs::RunScope scope("bench_trajectory.kernel_simd");
-    const core::RecursiveResult r = core::SelectRecursive(*setup.engine,
-                                                          options);
-    const obs::RunReport report = scope.Finish();
-    sig[pin].steps = r.trace.size();
-    sig[pin].whatif_calls = r.whatif_calls;
-    sig[pin].objective =
-        r.trace.empty() ? 0.0 : r.trace.back().objective_after;
-    if (pin == 0) {
-      const auto counter = [&](const char* name) -> uint64_t {
-        const auto it = report.metrics.counters.find(name);
-        return it == report.metrics.counters.end() ? 0 : it->second;
-      };
-      point.fast_path_hits = counter("idxsel.kernel.fast_path_hits");
-      point.fallback_lookups = counter("idxsel.kernel.fallback_lookups");
-      point.filtered_queries = counter("idxsel.kernel.filtered_queries");
-    }
-  }
-  point.dispatch_identical =
-      (sig[0].steps == sig[1].steps &&
-       sig[0].whatif_calls == sig[1].whatif_calls &&
-       ExactlyEqual(sig[0].objective, sig[1].objective))
-          ? 1
-          : 0;
+  ModelSetup setup(w);
+  obs::RunScope scope("bench_trajectory.kernel_simd");
+  (void)core::SelectRecursive(*setup.engine, options);
+  const obs::RunReport report = scope.Finish();
+  const auto counter = [&](const char* name) -> uint64_t {
+    const auto it = report.metrics.counters.find(name);
+    return it == report.metrics.counters.end() ? 0 : it->second;
+  };
+  KernelSimdPoint point;
+  point.fast_path_hits = counter("idxsel.kernel.fast_path_hits");
+  point.fallback_lookups = counter("idxsel.kernel.fallback_lookups");
+  point.filtered_queries = counter("idxsel.kernel.filtered_queries");
   return point;
 }
 
@@ -407,8 +378,7 @@ std::string JsonDocument(const std::vector<TrajectoryPoint>& points,
         "\"incremental_whatif_calls\": %llu, \"epoch\": %llu, "
         "\"seconds\": %.6f},\n"
         "     \"kernel_simd\": {\"fast_path_hits\": %llu, "
-        "\"fallback_lookups\": %llu, \"filtered_queries\": %llu, "
-        "\"dispatch_identical\": %llu},\n"
+        "\"fallback_lookups\": %llu, \"filtered_queries\": %llu},\n"
         "     \"peak_rss_kb\": %llu}",
         p.n, p.q, static_cast<unsigned long long>(p.h6.steps),
         static_cast<unsigned long long>(p.h6.whatif_calls), p.h6.seconds,
@@ -422,7 +392,6 @@ std::string JsonDocument(const std::vector<TrajectoryPoint>& points,
         static_cast<unsigned long long>(p.kernel_simd.fast_path_hits),
         static_cast<unsigned long long>(p.kernel_simd.fallback_lookups),
         static_cast<unsigned long long>(p.kernel_simd.filtered_queries),
-        static_cast<unsigned long long>(p.kernel_simd.dispatch_identical),
         static_cast<unsigned long long>(p.peak_rss_kb));
     out += buf;
   }

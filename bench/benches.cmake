@@ -2,22 +2,33 @@
 # Included from the top-level CMakeLists so binaries land in build/bench/
 # with nothing else next to them.
 
-# Provenance baked into every bench binary so the JSON sidecars are
-# self-describing across checkouts (bench_common.h SidecarProvenanceJson).
-execute_process(
-  COMMAND git rev-parse --short=12 HEAD
-  WORKING_DIRECTORY "${CMAKE_SOURCE_DIR}"
-  OUTPUT_VARIABLE IDXSEL_GIT_SHA
-  OUTPUT_STRIP_TRAILING_WHITESPACE
-  ERROR_QUIET)
-if(NOT IDXSEL_GIT_SHA)
-  set(IDXSEL_GIT_SHA "unknown")
-endif()
+# Provenance of every bench JSON sidecar (bench_common.h
+# SidecarProvenanceJson): the full git SHA, a dirty flag and the build
+# type, rewritten on every build by the script bench_e2e uses, so a
+# sidecar names the tree its binary was built from. Only
+# bench_provenance.cc includes the generated header; a new SHA or dirty
+# flag recompiles that one file.
 if(CMAKE_BUILD_TYPE)
   set(IDXSEL_SIDECAR_BUILD_TYPE "${CMAKE_BUILD_TYPE}")
 else()
   set(IDXSEL_SIDECAR_BUILD_TYPE "unspecified")
 endif()
+set(IDXSEL_BENCH_PROVENANCE
+  "${CMAKE_BINARY_DIR}/generated/bench/provenance.h")
+add_custom_target(idxsel_bench_provenance_header
+  COMMAND "${CMAKE_COMMAND}"
+    "-DROOT=${CMAKE_SOURCE_DIR}"
+    "-DOUT=${IDXSEL_BENCH_PROVENANCE}"
+    "-DBUILD_TYPE=${IDXSEL_SIDECAR_BUILD_TYPE}"
+    "-DCOMPILER=${CMAKE_CXX_COMPILER_ID} ${CMAKE_CXX_COMPILER_VERSION}"
+    -P "${CMAKE_SOURCE_DIR}/bench/e2e/provenance.cmake"
+  BYPRODUCTS "${IDXSEL_BENCH_PROVENANCE}"
+  VERBATIM)
+add_library(idxsel_bench_provenance STATIC bench/bench_provenance.cc)
+add_dependencies(idxsel_bench_provenance idxsel_bench_provenance_header)
+target_include_directories(idxsel_bench_provenance PRIVATE
+  "${CMAKE_BINARY_DIR}/generated/bench")
+target_link_libraries(idxsel_bench_provenance PRIVATE idxsel_build_flags)
 
 function(idxsel_bench name)
   add_executable(${name} bench/${name}.cc)
@@ -26,10 +37,8 @@ function(idxsel_bench name)
     idxsel_rt
     idxsel_candidates idxsel_mip idxsel_cophy idxsel_selection
     idxsel_core
-    idxsel_engine idxsel_frontier idxsel_advisor idxsel_analysis)
-  target_compile_definitions(${name} PRIVATE
-    IDXSEL_GIT_SHA="${IDXSEL_GIT_SHA}"
-    IDXSEL_BUILD_TYPE="${IDXSEL_SIDECAR_BUILD_TYPE}")
+    idxsel_engine idxsel_frontier idxsel_advisor idxsel_analysis
+    idxsel_bench_provenance)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
 endfunction()

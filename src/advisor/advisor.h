@@ -174,8 +174,8 @@ struct Recommendation {
   obs::RunReport report;
   /// Selection journal of this run: one structured decision record per
   /// committed round of every strategy lane (schema idxsel.journal.v1),
-  /// in deterministic lane order — byte-identical at any thread count and
-  /// SIMD dispatch. Populated while the journal is enabled
+  /// in deterministic lane order — byte-identical at any thread count.
+  /// Populated while the journal is enabled
   /// (obs::SetJournalEnabled / IDXSEL_JOURNAL=1); empty otherwise. Export
   /// with obs::JournalToJsonl as a *.journal.jsonl sidecar; query with
   /// Explain().

@@ -17,12 +17,6 @@
 //   AuditPostingLists  Workload::queries_with(a) is strictly ascending and
 //                      every listed query references a — the sortedness
 //                      the posting-list cursors and dense slots rely on
-//   AuditSimd          SIMD-vs-scalar cross-validation: every kernel/simd.h
-//                      op must return bit-identical results from the AVX2
-//                      path, the scalar template, and an independently
-//                      written serial reference — over deterministic
-//                      synthetic blocks and over the live dense rows /
-//                      query masks
 //
 // Cost: one pass over the dense tables and postings, read-only peeks only
 // (never computes, never touches stats), so an audit pass cannot perturb
@@ -117,7 +111,6 @@ class InvariantAuditor {
   AuditReport AuditCostTables() const;
   AuditReport AuditArenaMasks() const;
   AuditReport AuditPostingLists() const;
-  AuditReport AuditSimd() const;
 
   /// Every pass, merged.
   AuditReport AuditAll() const;

@@ -16,7 +16,6 @@
 #include "common/telemetry.h"
 #include "exec/shared_deadline.h"
 #include "exec/thread_pool.h"
-#include "kernel/simd.h"
 #include "obs/obs.h"
 
 namespace idxsel::core {
@@ -94,7 +93,7 @@ struct AppendScratch {
   uint64_t current = 0;
 
   // Batched-evaluation lane state: per-attribute CSR bookkeeping plus the
-  // flat per-unit buffers the simd reductions stream. Capacity persists
+  // flat per-unit buffers the kernel reductions stream. Capacity persists
   // across units and rounds — the steady state stays allocation-free.
   std::vector<uint32_t> count;     ///< CSR entries per touched attribute
   std::vector<uint32_t> offset;    ///< CSR segment start per attribute
@@ -883,11 +882,11 @@ class Runner {
   }
 
   /// Benefit of creating single-attribute index {i} against the current
-  /// state: sum_j b_j max(0, best_cost_j - f_j({i})), vectorized with the
-  /// serial loop's summation order (kernel/simd.h).
+  /// state: sum_j b_j max(0, best_cost_j - f_j({i})), summed in posting
+  /// order (kernel::ReduceBenefitIndexed).
   double SingleBenefit(workload::AttributeId i) {
     const std::vector<double>& costs = SingleCosts(i);
-    return kernel::simd::ReduceBenefitIndexed(
+    return kernel::ReduceBenefitIndexed(
         costs.data(), w_.queries_with(i).data(), best_cost_.data(),
         freq_.data(), costs.size());
   }
@@ -960,17 +959,16 @@ class Runner {
   /// change cost, and each candidate's benefit sums them in ascending
   /// query order:
   ///
-  ///   1. the full-cover test (attrs(k) subset of q_j) streams 4 query
-  ///      masks per step over the posting-order mirror
-  ///      (simd::FilterMasks); lossy-mask hits are still confirmed on the
-  ///      tuple;
+  ///   1. the full-cover test (attrs(k) subset of q_j) streams the query
+  ///      masks of the posting-order mirror (kernel::FilterMasks);
+  ///      lossy-mask hits are still confirmed on the tuple;
   ///   2. one discovery pass interns extensions in first-touch order and
   ///      lays the affected (slot, query, cost-without) triples out as a
   ///      per-candidate CSR, ascending slots per candidate;
   ///   3. when every candidate row is warm (the steady state: round r-1
-  ///      filled them), each candidate is costed in one
-  ///      CostWithIndexBatch pass over its dense row and reduced by
-  ///      simd::ReduceAppendBenefit — zero backend interaction;
+  ///      filled them), the warmth probe's gathered costs are accounted
+  ///      as hits in one call and each candidate is reduced by
+  ///      kernel::ReduceAppendBenefit — zero backend interaction;
   ///   4. ANY cold slot demotes the whole unit to the query-outer loop of
   ///      per-call lookups, so backend calls (and
   ///      rt::FaultInjectingBackend's PRNG stream) keep one fixed order.
@@ -990,11 +988,11 @@ class Runner {
     const workload::AttributeId lead = arena.leading(kid);
     const auto& posting = w_.queries_with(lead);
 
-    // (1) mask full-cover filter, 4 query masks per step.
+    // (1) mask full-cover filter.
     if (scratch.kept.size() < posting.size()) {
       scratch.kept.resize(posting.size());
     }
-    const size_t kept_n = kernel::simd::FilterMasks(
+    const size_t kept_n = kernel::FilterMasks(
         qmasks.posting_masks(lead), posting.size(), kmask,
         scratch.kept.data());
     if (kept_n != posting.size()) {
@@ -1060,8 +1058,8 @@ class Runner {
         }
       }
 
-      // (3) warmth peek — raw reads, no accounting, so a cold
-      // candidate leaves nothing to compensate before the fallback.
+      // (3) warmth peek — raw reads into `batch`, no accounting, so a
+      // cold candidate leaves nothing to compensate before the fallback.
       bool all_warm = true;
       for (workload::AttributeId a : scratch.touched) {
         if (!engine_.PeekDenseCostBlock(
@@ -1075,16 +1073,13 @@ class Runner {
       }
 
       if (all_warm) {
-        // (3a) batched what-if + vector reduction per candidate.
+        // (3a) the peeked costs are the what-if answers: account them as
+        // hits in bulk, then reduce per candidate.
+        engine_.CountDenseHits(total_pairs);
         for (workload::AttributeId a : scratch.touched) {
           const uint32_t off = scratch.offset[a];
           const uint32_t cnt = scratch.count[a];
-          const bool warm = engine_.CostWithIndexBatch(
-              scratch.ext_id[a], scratch.slot_csr.data() + off, cnt,
-              scratch.batch.data() + off);
-          // Slots only ever transition unset -> set within a round.
-          IDXSEL_DCHECK(warm);
-          scratch.benefit[a] = kernel::simd::ReduceAppendBenefit(
+          scratch.benefit[a] = kernel::ReduceAppendBenefit(
               scratch.batch.data() + off, scratch.cw_csr.data() + off,
               scratch.qid_csr.data() + off, best_cost_.data(),
               freq_.data(), cnt);
@@ -1412,17 +1407,16 @@ class Runner {
       // first appended attribute can change cost; everything else keeps
       // f_j(k_new) == f_j(k_old) (cost-model invariant), so consulting the
       // engine for them would waste what-if calls. One combined mask
-      // subset test, 4 masks per step over the posting-order mirror, with
-      // tuple confirmation only when masks are lossy.
+      // subset test over the posting-order mirror, with tuple
+      // confirmation only when masks are lossy.
       const workload::AttributeId rlead = arena.leading(replaced_id);
       const auto& posting = w_.queries_with(rlead);
       if (commit_kept_.size() < posting.size()) {
         commit_kept_.resize(posting.size());
       }
       const size_t kept_n =
-          kernel::simd::FilterMasks(qmasks.posting_masks(rlead),
-                                    posting.size(), rmask | abit,
-                                    commit_kept_.data());
+          kernel::FilterMasks(qmasks.posting_masks(rlead), posting.size(),
+                              rmask | abit, commit_kept_.data());
       if (kept_n != posting.size()) {
         kernel_filtered_.fetch_add(posting.size() - kept_n,
                                    std::memory_order_relaxed);
@@ -1680,7 +1674,7 @@ class Runner {
   std::vector<uint32_t> commit_kept_;  ///< Commit filter scratch
   std::vector<std::vector<double>> single_costs_;  ///< posting-order SoA
   std::vector<char> single_costs_ready_;
-  /// b_j per query, flat — the gather table of the simd reductions
+  /// b_j per query, flat — the lookup table of the kernel reductions
   /// (workload::Query::frequency sits inside an AoS Query record).
   std::vector<double> freq_;
   std::vector<workload::QueryId> affected_scratch_;

@@ -289,12 +289,15 @@ class WhatIfEngine {
   }
 
   /// Batched PeekDenseCost: gathers id's row at `slots[0..n)` into `out`
-  /// and reports whether every addressed slot is set. No stats, no
-  /// fallback, no fill — the warmth probe of the batched evaluation (a
-  /// cold probe must leave nothing to compensate before the caller
-  /// demotes to the per-call path) and the audit layer's bulk reader.
+  /// and reports whether every addressed slot is set
+  /// (kernel::DenseCostTable::GatherWarm). No stats, no fallback, no
+  /// fill — the warmth probe and the value source of the batched
+  /// evaluation; a cold probe leaves nothing to compensate before the
+  /// caller demotes to the per-call path.
   bool PeekDenseCostBlock(kernel::IndexId id, const uint32_t* slots, size_t n,
-                          double* out) const;
+                          double* out) const {
+    return dense_->costs.GatherWarm(id, slots, n, out);
+  }
 
   /// Per-query 64-bit attribute masks (built once at construction).
   const kernel::QueryMasks& query_masks() const { return dense_->masks; }
@@ -320,22 +323,15 @@ class WhatIfEngine {
   /// resolves it with a binary search over the posting list.
   double CostWithIndexDenseSlow(QueryId j, kernel::IndexId id);
 
-  /// Batched what-if evaluation: one candidate id against a whole query
-  /// block in a single pass over its dense row. `slots[0..n)` are posting
-  /// slots of the id's leading attribute; on success `out[t]` receives
-  /// exactly the value CostWithIndexDense(posting[slots[t]], id, slots[t])
-  /// would have returned, and the same accounting (n cache hits, n
-  /// fast-path hits) is applied in bulk.
-  ///
-  /// All-or-nothing: if ANY addressed slot is still unset (or the row does
-  /// not exist), returns false having consumed NOTHING — no stats, no
-  /// backend calls, no fills. The caller then falls back to the per-call
-  /// API, whose backend call order is the one the bit-identity contract
-  /// (and rt::FaultInjectingBackend's PRNG stream) depends on. A warm
-  /// block has no backend interaction at all, which is why batching it
-  /// cannot perturb call order.
-  bool CostWithIndexBatch(kernel::IndexId id, const uint32_t* slots, size_t n,
-                          double* out);
+  /// Accounts `n` dense-table hits at once (n cache hits, n fast-path
+  /// hits) — exactly what n CostWithIndexDense calls would count on slots
+  /// that PeekDenseCostBlock just reported set. The batched evaluation
+  /// peeks every candidate block of a unit first and, only when all are
+  /// warm, counts them here: a cold unit consumes NOTHING (no stats, no
+  /// backend calls, no fills) before it falls back to the per-call API,
+  /// whose backend call order the bit-identity contract (and
+  /// rt::FaultInjectingBackend's PRNG stream) depends on.
+  void CountDenseHits(uint64_t n);
 
   /// p_k / frequency-weighted maintenance addressed by dense id.
   double IndexMemoryDense(kernel::IndexId id);

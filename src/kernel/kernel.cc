@@ -1,6 +1,7 @@
 #include "kernel/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -179,6 +180,20 @@ void DenseCostTable::Put(IndexId id, uint32_t slot, uint32_t row_len,
   row->values[slot].store(value, std::memory_order_relaxed);
 }
 
+bool DenseCostTable::GatherWarm(IndexId id, const uint32_t* slots, size_t n,
+                                double* out) const {
+  if (n == 0) return true;
+  const Row* row = FindRow(id);
+  if (row == nullptr) return false;
+  for (size_t t = 0; t < n; ++t) {
+    IDXSEL_DCHECK(slots[t] < row->len);
+    const double v = row->values[slots[t]].load(std::memory_order_relaxed);
+    if (std::isnan(v)) return false;
+    out[t] = v;
+  }
+  return true;
+}
+
 void DenseCostTable::InheritRow(IndexId from, IndexId to, uint32_t row_len) {
   const Row* src = FindRow(from);
   if (src == nullptr) return;
@@ -205,6 +220,46 @@ void DenseCostTable::Invalidate() {
                            std::memory_order_relaxed);
     }
   }
+}
+
+// -- Reductions ---------------------------------------------------------------
+
+double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
+                            const double* best, const double* freq,
+                            size_t n) {
+  double acc = 0.0;
+  for (size_t t = 0; t < n; ++t) {
+    const double gain = best[qids[t]] - costs[t];
+    // All-ones iff the term is kept. `gain > 0.0 ? term : 0.0` would
+    // compile to a compare-and-jump, which mispredicts on ~random gain
+    // signs; the AND turns an excluded term into +0.0 without one.
+    const uint64_t keep = uint64_t{0} - static_cast<uint64_t>(gain > 0.0);
+    acc += std::bit_cast<double>(
+        std::bit_cast<uint64_t>(freq[qids[t]] * gain) & keep);
+  }
+  return acc;
+}
+
+double ReduceAppendBenefit(const double* costs, const double* cw,
+                           const uint32_t* qids, const double* best,
+                           const double* freq, size_t n) {
+  double acc = 0.0;
+  for (size_t t = 0; t < n; ++t) {
+    const double new_cost = cw[t] < costs[t] ? cw[t] : costs[t];
+    acc += freq[qids[t]] * (best[qids[t]] - new_cost);
+  }
+  return acc;
+}
+
+size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
+                   uint32_t* out) {
+  size_t count = 0;
+  for (size_t t = 0; t < n; ++t) {
+    // Unconditional store, advance by the keep bit: no branch per slot.
+    out[count] = static_cast<uint32_t>(t);
+    count += (required & ~masks[t]) == 0 ? 1u : 0u;
+  }
+  return count;
 }
 
 }  // namespace idxsel::kernel

@@ -19,6 +19,9 @@
 //   * Dense cost and value tables addressed by interned id, which
 //     WhatIfEngine keeps in front of its keyed caches.
 //
+// Below them sit the selector's inner loops over those layouts: the
+// benefit reductions and the posting-mask filter (end of this file).
+//
 // Masks are *exact* when the workload has at most 64 attributes (bit i
 // set iff attribute i present) and *conservative* otherwise (bit i%64):
 // a clear bit proves absence, a set bit must be confirmed against the
@@ -93,8 +96,8 @@ class QueryMasks {
     // Posting-order mirror: for every attribute, the masks of its posting
     // list (Workload::queries_with) packed contiguously, CSR-style. The
     // selector's affected-query filters walk posting lists, so this is
-    // the layout the 4-wide simd::FilterMasks streams — one load per
-    // block instead of a per-query indirection through masks_.
+    // the layout FilterMasks streams — one sequential load per slot
+    // instead of a per-query indirection through masks_.
     posting_offsets_.reserve(w.num_attributes() + 1);
     size_t total = 0;
     for (AttributeId a = 0; a < w.num_attributes(); ++a) {
@@ -120,7 +123,7 @@ class QueryMasks {
   }
 
   /// Masks of attribute `a`'s posting list in posting order — element s
-  /// is mask(queries_with(a)[s]). Contiguous: feed to simd::FilterMasks.
+  /// is mask(queries_with(a)[s]). Contiguous: feed to FilterMasks.
   const uint64_t* posting_masks(AttributeId a) const {
     return posting_masks_.data() + posting_offsets_[a];
   }
@@ -387,18 +390,13 @@ class DenseCostTable {
   /// first touch.
   void Put(IndexId id, uint32_t slot, uint32_t row_len, double value);
 
-  /// Borrowed view of one id's row for bulk reads (batched what-if
-  /// evaluation, audit sweeps). `values` is null when the row does not
-  /// exist yet. Stable for the table's lifetime.
-  struct RowView {
-    const std::atomic<double>* values = nullptr;
-    uint32_t len = 0;
-  };
-  RowView ViewRow(IndexId id) const {
-    const Row* row = FindRow(id);
-    if (row == nullptr) return {};
-    return {row->values.get(), row->len};
-  }
+  /// Warm-row gather: copies row `id` at `slots[0..n)` into `out` and
+  /// returns true iff every addressed slot is set. Each slot is read with
+  /// one relaxed atomic load (a plain load on x86), so a probe may run
+  /// while another thread fills the same row. On false (an unset slot, or
+  /// no row yet) `out` is unspecified. An empty block is warm.
+  bool GatherWarm(IndexId id, const uint32_t* slots, size_t n,
+                  double* out) const;
 
   /// Copies every set slot of `from`'s row into *unset* slots of `to`'s
   /// row (both rows share the posting list: same leading attribute).
@@ -437,21 +435,45 @@ class DenseCostTable {
   std::vector<std::unique_ptr<Row>> rows_ IDXSEL_GUARDED_BY(mu_);  // ownership
 };
 
-/// Reinterprets a dense row's atomic storage as a plain double stream for
-/// the simd layer's vector loads/gathers. Sound under the kernel's
-/// publication discipline: row slots are relaxed atomics only so that
-/// racing writers of the *same* deterministic value never conflict; every
-/// bulk read happens strictly after the slots it touches were published
-/// (same thread, or through the exec::ThreadPool barriers), and
-/// std::atomic<double> is lock-free and layout-identical to double on
-/// every supported target (checked below).
-inline const double* RawValues(const std::atomic<double>* values) {
-  static_assert(sizeof(std::atomic<double>) == sizeof(double),
-                "dense rows must be plain doubles under the hood");
-  static_assert(std::atomic<double>::is_always_lock_free,
-                "dense rows must be lock-free for bulk reads");
-  return reinterpret_cast<const double*>(values);
-}
+// -- Reductions ---------------------------------------------------------------
+//
+// The H6 move-evaluation loops over the few queries a move touches. Each
+// is one serial pass in ascending element order, so its FP result is the
+// plain loop's in every build, and each keeps or drops an element without
+// a branch (doc/cost_model.md, "Reductions").
+
+/// Benefit of a single-attribute candidate over a posting list:
+///
+///   for (t = 0; t < n; ++t) {
+///     gain = best[qids[t]] - costs[t];
+///     acc += gain > 0 ? freq[qids[t]] * gain : +0.0;
+///   }
+///
+/// `costs` is the per-slot cost array (posting order), `qids` the posting
+/// list itself, `best`/`freq` are query-indexed tables. A NaN gain drops
+/// its term.
+double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
+                            const double* best, const double* freq, size_t n);
+
+/// Benefit of one append candidate over its affected-query block:
+///
+///   for (t = 0; t < n; ++t)
+///     acc += freq[qids[t]] * (best[qids[t]] - (cw[t] < costs[t] ? cw[t]
+///                                                                : costs[t]));
+///
+/// `costs` are the candidate's dense-row values (DenseCostTable::GatherWarm),
+/// `cw` the per-query cost without the replaced index, both packed in
+/// block order.
+double ReduceAppendBenefit(const double* costs, const double* cw,
+                           const uint32_t* qids, const double* best,
+                           const double* freq, size_t n);
+
+/// Compacts the posting slots whose query mask covers `required`: keeps
+/// slot t iff (required & ~masks[t]) == 0 — the kernel's one-sided
+/// "every required attribute maybe-present" test. Writes kept slot indices
+/// (ascending) to `out` (capacity >= n); returns the kept count.
+size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
+                   uint32_t* out);
 
 }  // namespace idxsel::kernel
 

@@ -1,6 +1,6 @@
 // Selection-journal correctness: the provenance records behind every
-// Recommendation must be byte-identical at any thread count and SIMD
-// dispatch level (schema idxsel.journal.v1, doc/observability.md). The suite
+// Recommendation must be byte-identical at any thread count (schema
+// idxsel.journal.v1, doc/observability.md). The suite
 // pins that contract for H6, the advisor portfolio, and the CoPhy/MIP
 // lane, checks that sanitized what-if answers are journaled as
 // rejections under a chaos backend, and exercises Explain() with the
@@ -18,7 +18,6 @@
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/what_if.h"
-#include "kernel/simd.h"
 #include "obs/journal.h"
 #include "rt/fault_injection.h"
 #include "workload/scalable_generator.h"
@@ -71,34 +70,29 @@ std::string JournalBytes(Env& env, AdvisorOptions options) {
   return rec.ok() ? obs::JournalToJsonl(rec->journal) : std::string();
 }
 
-/// Runs `options` at threads {1, 8} x SIMD dispatch {native, forced
-/// scalar} and demands byte-identical journal exports across all four
-/// legs.
+/// Runs `options` at threads {1, 8} and demands byte-identical journal
+/// exports across both legs.
 void CheckJournalInvariant(Env& env, AdvisorOptions options,
                            const char* what) {
   ScopedJournal journal;
   std::string reference;
   bool have_reference = false;
-  for (const bool force_scalar : {false, true}) {
-    const kernel::simd::ScopedForceScalar pin(force_scalar);
-    for (const size_t threads : {1u, 8u}) {
-      options.threads = threads;
-      const std::string bytes = JournalBytes(env, options);
-      EXPECT_FALSE(bytes.empty())
-          << what << ": journal empty with journaling enabled";
-      if (!have_reference) {
-        reference = bytes;
-        have_reference = true;
-        continue;
-      }
-      EXPECT_EQ(bytes, reference)
-          << what << ": journal drifted at threads=" << threads
-          << " scalar=" << force_scalar;
+  for (const size_t threads : {1u, 8u}) {
+    options.threads = threads;
+    const std::string bytes = JournalBytes(env, options);
+    EXPECT_FALSE(bytes.empty())
+        << what << ": journal empty with journaling enabled";
+    if (!have_reference) {
+      reference = bytes;
+      have_reference = true;
+      continue;
     }
+    EXPECT_EQ(bytes, reference)
+        << what << ": journal drifted at threads=" << threads;
   }
 }
 
-TEST(JournalDeterminismTest, H6ByteIdenticalAcrossThreadsAndDispatch) {
+TEST(JournalDeterminismTest, H6ByteIdenticalAcrossThreads) {
   Env env;
   AdvisorOptions options;
   options.strategy = StrategyKind::kRecursive;
@@ -106,7 +100,7 @@ TEST(JournalDeterminismTest, H6ByteIdenticalAcrossThreadsAndDispatch) {
   CheckJournalInvariant(env, options, "h6");
 }
 
-TEST(JournalDeterminismTest, PortfolioByteIdenticalAcrossThreadsAndDispatch) {
+TEST(JournalDeterminismTest, PortfolioByteIdenticalAcrossThreads) {
   Env env;
   AdvisorOptions options;
   options.strategy = StrategyKind::kRecursive;
@@ -116,7 +110,7 @@ TEST(JournalDeterminismTest, PortfolioByteIdenticalAcrossThreadsAndDispatch) {
   CheckJournalInvariant(env, options, "portfolio");
 }
 
-TEST(JournalDeterminismTest, CophyMipByteIdenticalAcrossThreadsAndDispatch) {
+TEST(JournalDeterminismTest, CophyMipByteIdenticalAcrossThreads) {
   Env env(2, 8, 16);  // small enough for an exact solve on every leg
   AdvisorOptions options;
   options.strategy = StrategyKind::kCophy;

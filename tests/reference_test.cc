@@ -9,7 +9,6 @@
 // max_index_width, prune_unused, pair_steps, swap_repair, and
 // reconfiguration (existing selection + R). Each case runs production as
 //   * SelectRecursive at threads 1 and 4,
-//   * SelectRecursive with the SIMD dispatch forced to scalar,
 //   * advisor::Recommend with shards = 4 (plain, multi-table cases),
 //   * a serve warm re-selection after frequency shifts (plain cases).
 // It also replays the seed corpus of tests/fuzz/fuzz_h6_reference.cc.
@@ -38,7 +37,6 @@
 #include "costmodel/cost_model.h"
 #include "costmodel/reconfiguration.h"
 #include "costmodel/what_if.h"
-#include "kernel/simd.h"
 #include "reference/reference_h6.h"
 #include "serve/service.h"
 #include "workload/scalable_generator.h"
@@ -188,8 +186,7 @@ RecursiveOptions VariantOptions(Variant v, double budget) {
 /// Runs `options` on a fresh engine (binding a reconfiguration model to it
 /// when `existing` is set) and returns the production result.
 RecursiveResult RunProduction(Env& env, RecursiveOptions options,
-                              const IndexConfig* existing, size_t threads,
-                              bool force_scalar) {
+                              const IndexConfig* existing, size_t threads) {
   WhatIfEngine engine(&env.w, env.backend.get());
   const ReconfigurationModel model(&engine, ReconfigurationParams{100.0, 10.0});
   if (existing != nullptr) {
@@ -197,7 +194,6 @@ RecursiveResult RunProduction(Env& env, RecursiveOptions options,
     options.reconfiguration = &model;
   }
   options.threads = threads;
-  const kernel::simd::ScopedForceScalar pin(force_scalar);
   return core::SelectRecursive(engine, options);
 }
 
@@ -295,15 +291,11 @@ TEST_P(ReferenceTest, ProductionMatchesReference) {
           ++cases;
           for (size_t threads : {1u, 4u}) {
             const RecursiveResult got =
-                RunProduction(env, options, existing_ptr, threads, false);
+                RunProduction(env, options, existing_ptr, threads);
             EXPECT_TRUE(got.status.ok()) << label;
             EXPECT_EQ(Diff(FromResult(got), want), "")
                 << label << " threads=" << threads;
           }
-          const RecursiveResult scalar =
-              RunProduction(env, options, existing_ptr, 1, true);
-          EXPECT_EQ(Diff(FromResult(scalar), want), "")
-              << label << " forced scalar";
 
           if (variant != Variant::kPlain) continue;
           if (tables >= 2) {

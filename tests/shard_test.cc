@@ -6,9 +6,8 @@
 //   * SelectSharded == SelectRecursive bitwise — selection, trace values,
 //     frontier, objective, memory, and selector-level what-if call count —
 //     at every shard count and thread count (compression off).
-//   * Advisor-level determinism matrix: shards {1,4,16} x threads {1,4} x
-//     SIMD dispatch {native, forced scalar} produce byte-identical
-//     recommendations and journal sidecars.
+//   * Advisor-level determinism matrix: shards {1,4,16} x threads {1,4}
+//     produce byte-identical recommendations and journal sidecars.
 //   * Chaos: one shard with a garbage-returning backend degrades the
 //     result flag, never the budget feasibility.
 
@@ -24,7 +23,6 @@
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/what_if.h"
-#include "kernel/simd.h"
 #include "obs/journal.h"
 #include "rt/fault_injection.h"
 #include "shard/partition.h"
@@ -423,7 +421,7 @@ TEST(ShardedSelectorTest, SessionReuseAfterMarkDirtyStaysExact) {
 // Advisor-level determinism matrix.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedDeterminismTest, MatrixShardsThreadsDispatchByteIdentical) {
+TEST(ShardedDeterminismTest, MatrixShardsThreadsByteIdentical) {
   Env env;
   obs::SetJournalEnabled(true);
   obs::Journal::Default().Clear();
@@ -433,47 +431,43 @@ TEST(ShardedDeterminismTest, MatrixShardsThreadsDispatchByteIdentical) {
   std::string ref_journal;
   for (size_t shards : {1u, 4u, 16u}) {
     for (size_t threads : {1u, 4u}) {
-      for (bool force_scalar : {false, true}) {
-        const kernel::simd::ScopedForceScalar pin(force_scalar);
-        AdvisorOptions options;
-        options.strategy = StrategyKind::kRecursive;
-        options.shards = shards;
-        options.threads = threads;
-        WhatIfEngine engine(&env.w, env.backend.get());
-        const Result<Recommendation> got =
-            advisor::Recommend(engine, options);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const std::string journal = obs::JournalToJsonl(got->journal);
-        const std::string tag = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads) +
-                                " scalar=" + (force_scalar ? "1" : "0");
-        EXPECT_FALSE(journal.empty()) << tag;
-        if (!have_ref) {
-          have_ref = true;
-          ref = *got;
-          ref_journal = journal;
-          EXPECT_GE(ref.trace.size(), 1u);
-          continue;
-        }
-        EXPECT_TRUE(ref.selection == got->selection) << tag;
-        EXPECT_EQ(ref.cost_before, got->cost_before) << tag;
-        EXPECT_EQ(ref.cost_after, got->cost_after) << tag;
-        EXPECT_EQ(ref.memory, got->memory) << tag;
-        EXPECT_EQ(ref.budget, got->budget) << tag;
-        ASSERT_EQ(ref.trace.size(), got->trace.size()) << tag;
-        for (size_t s = 0; s < ref.trace.size(); ++s) {
-          EXPECT_TRUE(ref.trace[s].after == got->trace[s].after)
-              << tag << " step " << s;
-          EXPECT_EQ(ref.trace[s].objective_after,
-                    got->trace[s].objective_after)
-              << tag << " step " << s;
-          EXPECT_EQ(ref.trace[s].ratio, got->trace[s].ratio)
-              << tag << " step " << s;
-        }
-        // The journal sidecar — the durable byte stream — must be
-        // byte-identical across the whole matrix.
-        EXPECT_EQ(ref_journal, journal) << tag;
+      AdvisorOptions options;
+      options.strategy = StrategyKind::kRecursive;
+      options.shards = shards;
+      options.threads = threads;
+      WhatIfEngine engine(&env.w, env.backend.get());
+      const Result<Recommendation> got =
+          advisor::Recommend(engine, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string journal = obs::JournalToJsonl(got->journal);
+      const std::string tag = "shards=" + std::to_string(shards) +
+                              " threads=" + std::to_string(threads);
+      EXPECT_FALSE(journal.empty()) << tag;
+      if (!have_ref) {
+        have_ref = true;
+        ref = *got;
+        ref_journal = journal;
+        EXPECT_GE(ref.trace.size(), 1u);
+        continue;
       }
+      EXPECT_TRUE(ref.selection == got->selection) << tag;
+      EXPECT_EQ(ref.cost_before, got->cost_before) << tag;
+      EXPECT_EQ(ref.cost_after, got->cost_after) << tag;
+      EXPECT_EQ(ref.memory, got->memory) << tag;
+      EXPECT_EQ(ref.budget, got->budget) << tag;
+      ASSERT_EQ(ref.trace.size(), got->trace.size()) << tag;
+      for (size_t s = 0; s < ref.trace.size(); ++s) {
+        EXPECT_TRUE(ref.trace[s].after == got->trace[s].after)
+            << tag << " step " << s;
+        EXPECT_EQ(ref.trace[s].objective_after,
+                  got->trace[s].objective_after)
+            << tag << " step " << s;
+        EXPECT_EQ(ref.trace[s].ratio, got->trace[s].ratio)
+            << tag << " step " << s;
+      }
+      // The journal sidecar — the durable byte stream — must be
+      // byte-identical across the whole matrix.
+      EXPECT_EQ(ref_journal, journal) << tag;
     }
   }
   obs::SetJournalEnabled(false);

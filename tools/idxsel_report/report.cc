@@ -516,14 +516,11 @@ TrajectoryCheckResult CheckTrajectory(const JsonValue& current,
     exact("serve", "cold_whatif_calls");
     exact("serve", "incremental_whatif_calls");
     exact("serve", "epoch");
-    // Kernel SIMD group (PR 8): dense fast-path/fallback/filter tallies
-    // of a serial kernel-on run are pure functions of the workload, and
-    // dispatch_identical == 1 records that a forced-scalar rerun
-    // reproduced the native-dispatch run exactly.
+    // Kernel group: dense fast-path/fallback/filter tallies of a serial
+    // run are pure functions of the workload.
     exact("kernel_simd", "fast_path_hits");
     exact("kernel_simd", "fallback_lookups");
     exact("kernel_simd", "filtered_queries");
-    exact("kernel_simd", "dispatch_identical");
     {
       const JsonValue* cg = p.Find("portfolio");
       const JsonValue* bg = base.Find("portfolio");
