@@ -2,8 +2,9 @@
 // dense lookups vs hashed keyed lookups, posting-list mask-filter hit
 // rates, Fig.6-sized H6 step latency with steady-state allocation counts
 // per step from a global operator-new tally, the kernel's branch-free
-// benefit reduction vs the branchy serial loop ("simd" in the JSON), and
-// the QueryMasks allocation contract.
+// benefit reduction vs the branchy serial loop ("simd" in the JSON),
+// F(I*) of an advise-wide selection vs the naive query-by-index loop
+// ("workload_cost"), and the QueryMasks allocation contract.
 //
 // Emits `bench_kernel.json` (sidecar, next to the other bench CSVs) and
 // `BENCH_kernel.json` (same document; run the binary from the repo root
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "advisor/advisor.h"
 #include "bench_common.h"
 #include "common/format.h"
 #include "kernel/kernel.h"
@@ -264,6 +266,106 @@ SimdResult SimdMicrobench() {
   return result;
 }
 
+// ------------------------------------------- F(I*) of a selection leg
+
+/// F(I*) the naive way: every query against every configured index, in
+/// configuration order, through the keyed API. WhatIfEngine::WorkloadCost
+/// must return the same bits, and under IDXSEL_BENCH_ASSERT=1 at least
+/// 10x faster on the advise-wide selection.
+double NaiveWorkloadCost(costmodel::WhatIfEngine& engine,
+                         const costmodel::IndexConfig& config) {
+  const workload::Workload& w = engine.workload();
+  double total = 0.0;
+  for (workload::QueryId j = 0; j < w.num_queries(); ++j) {
+    double best = engine.BaseCost(j);
+    for (const costmodel::Index& k : config.indexes()) {
+      if (engine.Applicable(j, k)) {
+        best = std::min(best, engine.CostWithIndex(j, k));
+      }
+    }
+    total += w.query(j).frequency * best;
+  }
+  for (const costmodel::Index& k : config.indexes()) {
+    total += engine.MaintenancePenalty(k);
+  }
+  return total;
+}
+
+struct WorkloadCostResult {
+  size_t tables = 0;
+  size_t queries = 0;
+  size_t indexes = 0;
+  double fast_ms = 0.0;        ///< WorkloadCost(selection), warm, median
+  double naive_ms = 0.0;       ///< NaiveWorkloadCost(selection)
+  double one_fast_ms = 0.0;    ///< the same on a one-index configuration
+  double one_naive_ms = 0.0;
+};
+
+/// The advise-wide request shape (2,000 tables x 8 attributes x 4
+/// templates, 10M-row cap, generator seed 1000): Recommend at w = 0.2
+/// picks the selection, and its closing F(I*) leaves the engine warm.
+WorkloadCostResult WorkloadCostMicrobench() {
+  workload::ScalableWorkloadParams params;
+  params.num_tables = 2000;
+  params.attributes_per_table = 8;
+  params.queries_per_table = 4;
+  params.rows_per_table_cap = 10'000'000;
+  params.seed = 1000;
+  ModelSetup setup(workload::GenerateScalableWorkload(params));
+  advisor::AdvisorOptions options;
+  options.budget_fraction = 0.2;
+  options.threads = 1;
+  const auto rec = advisor::Recommend(*setup.engine, options);
+  if (!rec.ok() || rec->selection.empty()) {
+    std::fprintf(stderr, "bench_kernel: advise-wide Recommend failed\n");
+    std::exit(1);
+  }
+  const costmodel::IndexConfig& selection = rec->selection;
+  const costmodel::IndexConfig one({selection.indexes().front()});
+  costmodel::WhatIfEngine& engine = *setup.engine;
+
+  const int fast_reps = FullMode() ? 101 : 21;
+  const int naive_reps = FullMode() ? 15 : 5;
+  double sink = 0.0;
+  const auto median_ms = [&](int reps, auto&& fn) {
+    std::vector<double> samples;
+    for (int r = 0; r < reps; ++r) {
+      const double start = NowSeconds();
+      sink += fn();
+      samples.push_back((NowSeconds() - start) * 1e3);
+    }
+    return Percentile(samples, 0.5);
+  };
+
+  WorkloadCostResult result;
+  result.tables = setup.w.num_tables();
+  result.queries = setup.w.num_queries();
+  result.indexes = selection.size();
+  result.fast_ms =
+      median_ms(fast_reps, [&] { return engine.WorkloadCost(selection); });
+  result.naive_ms = median_ms(
+      naive_reps, [&] { return NaiveWorkloadCost(engine, selection); });
+  result.one_fast_ms =
+      median_ms(fast_reps, [&] { return engine.WorkloadCost(one); });
+  result.one_naive_ms =
+      median_ms(fast_reps, [&] { return NaiveWorkloadCost(engine, one); });
+  if (sink == -1.0) std::printf("unreachable\n");
+
+  // Same number, not just faster.
+  for (const costmodel::IndexConfig* config : {&selection, &one}) {
+    const double got = engine.WorkloadCost(*config);
+    const double want = NaiveWorkloadCost(engine, *config);
+    if (std::memcmp(&got, &want, sizeof got) != 0) {
+      std::fprintf(stderr,
+                   "bench_kernel: WorkloadCost diverged from the naive "
+                   "loop (%.17g vs %.17g)\n",
+                   got, want);
+      std::exit(1);
+    }
+  }
+  return result;
+}
+
 // ------------------------------------- QueryMasks allocation accounting
 
 /// QueryMasks construction is allocation-lean by contract (kernel.h): a
@@ -366,6 +468,7 @@ H6Stats RunH6(costmodel::WhatIfEngine& engine, double budget, int reps) {
 std::string JsonDocument(const workload::Workload& w, double budget_w,
                          const LookupResult& lookup, const H6Stats& h6,
                          const SimdResult& simd,
+                         const WorkloadCostResult& fstar,
                          const MaskAllocResult& mask_allocs) {
   const double steps_per_rep =
       h6.step_ms.empty() ? 0.0 : static_cast<double>(h6.step_ms.size());
@@ -420,6 +523,17 @@ std::string JsonDocument(const workload::Workload& w, double budget_w,
       simd.benefit_simd_ns,
       simd.benefit_simd_ns > 0.0 ? simd.benefit_ref_ns / simd.benefit_simd_ns
                                  : 0.0);
+  out += buf;
+  std::snprintf(
+      buf, sizeof buf,
+      "  \"workload_cost\": {\"tables\": %zu, \"queries\": %zu, "
+      "\"indexes\": %zu, \"fast_ms\": %.3f, \"naive_ms\": %.3f, "
+      "\"speedup\": %.1f, \"one_index_fast_ms\": %.3f, "
+      "\"one_index_naive_ms\": %.3f},\n",
+      fstar.tables, fstar.queries, fstar.indexes, fstar.fast_ms,
+      fstar.naive_ms,
+      fstar.fast_ms > 0.0 ? fstar.naive_ms / fstar.fast_ms : 0.0,
+      fstar.one_fast_ms, fstar.one_naive_ms);
   out += buf;
   std::snprintf(
       buf, sizeof buf,
@@ -504,6 +618,17 @@ void Run() {
       static_cast<unsigned long long>(simd.elements), simd.benefit_ref_ns,
       simd.benefit_simd_ns, benefit_speedup);
 
+  // F(I*) of an advise-wide selection: the leading-attribute run walk vs
+  // the naive loop over every (query, index) pair.
+  const WorkloadCostResult fstar = WorkloadCostMicrobench();
+  const double fstar_speedup =
+      fstar.fast_ms > 0.0 ? fstar.naive_ms / fstar.fast_ms : 0.0;
+  std::printf(
+      "F(I*) on %zu tables, %zu queries: %zu indexes %.3f ms vs naive "
+      "%.3f ms (%.1fx); one index %.3f ms vs naive %.3f ms\n",
+      fstar.tables, fstar.queries, fstar.indexes, fstar.fast_ms,
+      fstar.naive_ms, fstar_speedup, fstar.one_fast_ms, fstar.one_naive_ms);
+
   // QueryMasks allocation contract: fixed reservation count, independent
   // of workload size.
   const MaskAllocResult mask_allocs = QueryMasksAllocMicrobench();
@@ -523,6 +648,13 @@ void Run() {
                    benefit_speedup);
       std::exit(1);
     }
+    if (fstar_speedup < 10.0) {
+      std::fprintf(stderr,
+                   "bench_kernel: FAIL F(I*) of the advise-wide selection "
+                   "%.1fx < 10x over the naive query-by-index loop\n",
+                   fstar_speedup);
+      std::exit(1);
+    }
     if (mask_allocs.small_allocs != mask_allocs.large_allocs ||
         mask_allocs.small_allocs > 8) {
       std::fprintf(stderr,
@@ -536,7 +668,7 @@ void Run() {
   }
 
   const std::string json =
-      JsonDocument(w, budget_w, lookup, h6, simd, mask_allocs);
+      JsonDocument(w, budget_w, lookup, h6, simd, fstar, mask_allocs);
   WriteJson("bench_kernel.json", json);
   WriteJson("BENCH_kernel.json", json);
 }

@@ -609,20 +609,21 @@ std::string RenderReport(WhatIfEngine& engine, const Recommendation& rec,
                                  rec.whatif_calls)) +
          "\n\n";
 
-  // Count, per index, the queries it serves best.
+  // Count, per index, the queries it serves best; the first index in
+  // configuration order wins a tie.
   std::vector<size_t> served(rec.selection.size(), 0);
   const auto& indexes = rec.selection.indexes();
+  costmodel::LeadingRuns runs(w, rec.selection);
   for (workload::QueryId j = 0; j < w.num_queries(); ++j) {
     double best = engine.BaseCost(j);
     size_t owner = indexes.size();
-    for (size_t p = 0; p < indexes.size(); ++p) {
-      if (!engine.Applicable(j, indexes[p])) continue;
+    runs.ForEachApplicable(j, [&](uint32_t p, uint32_t) {
       const double cost = engine.CostWithIndex(j, indexes[p]);
       if (cost < best) {
         best = cost;
         owner = p;
       }
-    }
+    });
     if (owner < indexes.size()) ++served[owner];
   }
 

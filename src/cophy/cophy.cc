@@ -105,10 +105,12 @@ CophyResult SolveProblem(mip::Problem problem, const CandidateSet& candidates,
   result.gap = solved.gap;
   result.solve_seconds = solved.wall_seconds;
   result.nodes = solved.nodes;
+  std::vector<Index> chosen;
   for (uint32_t canonical : solved.selected) {
     IDXSEL_CHECK_LT(canonical, mapping.size());
-    result.selection.Insert(candidates[mapping[canonical]]);
+    chosen.push_back(candidates[mapping[canonical]]);
   }
+  result.selection = IndexConfig(std::move(chosen));
   span.SetArg("nodes", static_cast<double>(result.nodes));
 
   // Decision provenance: one record per solve, built exclusively from the

@@ -313,7 +313,7 @@ class Runner {
     // The repair pass relies on the one-index bookkeeping.
     if (opts_.swap_repair && !opts_.multi_index_eval) SwapRepair(&result_);
 
-    for (const Index& k : selected_) result_.selection.Insert(k);
+    result_.selection = costmodel::IndexConfig(selected_);
     result_.objective = objective_;
     result_.memory = used_memory_;
     result_.runtime_seconds = watch_.ElapsedSeconds();

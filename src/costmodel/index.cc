@@ -81,6 +81,20 @@ bool IndexConfig::Contains(const Index& k) const {
   return std::binary_search(indexes_.begin(), indexes_.end(), k);
 }
 
+LeadingRuns::LeadingRuns(const workload::Workload& w,
+                         const IndexConfig& config)
+    : workload_(&w), run_of_(w.num_attributes(), kNoRun) {
+  const std::vector<Index>& indexes = config.indexes();
+  for (uint32_t p = 0; p < indexes.size(); ++p) {
+    const AttributeId a = indexes[p].leading();
+    if (run_of_[a] == kNoRun) {
+      run_of_[a] = static_cast<uint32_t>(runs_.size());
+      runs_.push_back({p, p, 0});
+    }
+    ++runs_.back().end;
+  }
+}
+
 std::string IndexConfig::ToString() const {
   std::string out = "{";
   for (size_t i = 0; i < indexes_.size(); ++i) {

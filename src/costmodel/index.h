@@ -128,6 +128,40 @@ class IndexConfig {
   std::vector<Index> indexes_;  // sorted, unique
 };
 
+/// I* grouped into runs of indexes sharing a leading attribute. I* is
+/// sorted, so the runs are contiguous and ascend by l(k), and visiting
+/// the runs of q_j's (ascending) attributes meets exactly the indexes
+/// applicable to q_j, in configuration order. O(N + |I*|) to build.
+class LeadingRuns {
+ public:
+  LeadingRuns(const workload::Workload& w, const IndexConfig& config);
+
+  /// Calls visit(p, slot) for each config.indexes()[p] applicable to
+  /// query j, in configuration order; slot is j's posting slot of l(k).
+  /// Queries must come in ascending order, skipping none that touches a
+  /// configured leading attribute: each run counts the queries it served,
+  /// and that count is the slot.
+  template <typename Visit>
+  void ForEachApplicable(QueryId j, Visit&& visit) {
+    for (AttributeId a : workload_->query(j).attributes) {
+      if (run_of_[a] == kNoRun) continue;
+      Run& run = runs_[run_of_[a]];
+      for (uint32_t p = run.begin; p < run.end; ++p) visit(p, run.served);
+      ++run.served;
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNoRun = ~uint32_t{0};
+  struct Run {
+    uint32_t begin, end;  ///< positions in config.indexes()
+    uint32_t served;      ///< queries visited so far = next posting slot
+  };
+  const workload::Workload* workload_;
+  std::vector<uint32_t> run_of_;  ///< by attribute; kNoRun if none
+  std::vector<Run> runs_;
+};
+
 }  // namespace idxsel::costmodel
 
 #endif  // IDXSEL_COSTMODEL_INDEX_H_

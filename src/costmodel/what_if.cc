@@ -333,35 +333,23 @@ void WhatIfEngine::InheritCostRow(kernel::IndexId from, kernel::IndexId to) {
 }
 
 double WhatIfEngine::WorkloadCost(const IndexConfig& config) {
-  // One posting-list cursor per configured index: queries are visited in
-  // ascending order, so applicability is a cursor advance instead of a
-  // table lookup + binary search, and the cursor position doubles as the
-  // dense row slot (posting membership <=> Applicable, because queries
-  // only touch same-table attributes).
-  struct Cursor {
-    kernel::IndexId id;
-    const std::vector<QueryId>* posting;
-    uint32_t pos;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(config.indexes().size());
-  for (const Index& k : config.indexes()) {
-    const kernel::IndexId id = InternIndex(k);
-    cursors.push_back(
-        {id, &workload_->queries_with(dense_->arena.leading(id)), 0});
-  }
+  // Query by query over the leading-attribute runs: query j meets exactly
+  // its applicable indexes, in configuration order, so every lookup,
+  // backend call and dense fill comes in the order a scan of all of I*
+  // per query would make it, at O(Q + sum_j |q_j| + sum_k |posting(l(k))|).
+  std::vector<kernel::IndexId> ids;
+  ids.reserve(config.size());
+  for (const Index& k : config.indexes()) ids.push_back(InternIndex(k));
+  LeadingRuns runs(*workload_, config);
   double total = 0.0;
   for (QueryId j = 0; j < workload_->num_queries(); ++j) {
     double best = BaseCost(j);
-    for (Cursor& c : cursors) {
-      const std::vector<QueryId>& posting = *c.posting;
-      while (c.pos < posting.size() && posting[c.pos] < j) ++c.pos;
-      if (c.pos >= posting.size() || posting[c.pos] != j) continue;
-      best = std::min(best, CostWithIndexDense(j, c.id, c.pos));
-    }
+    runs.ForEachApplicable(j, [&](uint32_t p, uint32_t slot) {
+      best = std::min(best, CostWithIndexDense(j, ids[p], slot));
+    });
     total += workload_->query(j).frequency * best;
   }
-  for (const Cursor& c : cursors) total += MaintenancePenaltyDense(c.id);
+  for (kernel::IndexId id : ids) total += MaintenancePenaltyDense(id);
   return total;
 }
 

@@ -170,6 +170,7 @@ Result<Checkpoint> DeserializeCheckpoint(const std::string& body) {
   if (!(s = next_field("selection")).ok()) return s;
   uint64_t num_indexes = 0;
   if (!ParseU64(value, &num_indexes)) return Malformed("bad selection count");
+  std::vector<costmodel::Index> selection;
   for (uint64_t i = 0; i < num_indexes; ++i) {
     if (!(s = next_field("index")).ok()) return s;
     std::vector<workload::AttributeId> attrs;
@@ -187,8 +188,9 @@ Result<Checkpoint> DeserializeCheckpoint(const std::string& body) {
       pos = comma + 1;
     }
     if (attrs.empty()) return Malformed("empty index");
-    cp.selection.Insert(costmodel::Index(std::move(attrs)));
+    selection.emplace_back(std::move(attrs));
   }
+  cp.selection = costmodel::IndexConfig(std::move(selection));
 
   if (!(s = next_field("plan_budget")).ok()) return s;
   if (!ParseF64(value, &cp.plan.budget)) return Malformed("bad plan budget");

@@ -422,9 +422,10 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   }
   if (journal) EmitShardStop(rounds, objective, used, stop_note);
 
+  std::vector<Index> chosen;
   for (size_t s = 0; s < num_shards; ++s) {
     for (const Index& k : selected[s]) {
-      out.selection.Insert(states_[s]->view->ToGlobal(k));
+      chosen.push_back(states_[s]->view->ToGlobal(k));
     }
     out.whatif_calls += states_[s]->calls_total() - calls_before[s];
     if (!states_[s]->engine->health().ok()) {
@@ -432,6 +433,7 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
       out.degraded = true;
     }
   }
+  out.selection = costmodel::IndexConfig(std::move(chosen));
   out.objective = objective;
   out.memory = used;
   out.stats.shard_runs = num_shards;

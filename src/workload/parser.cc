@@ -1,12 +1,15 @@
 #include "workload/parser.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -15,27 +18,25 @@ namespace idxsel::workload {
 namespace {
 
 /// Splits a line into whitespace-separated tokens, dropping '#' comments.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char ch : line) {
-    if (ch == '#') break;
-    if (ch == ' ' || ch == '\t' || ch == '\r') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current += ch;
-    }
+/// The tokens view `line`; `tokens` is reused across lines.
+void Tokenize(std::string_view line, std::vector<std::string_view>* tokens) {
+  constexpr std::string_view kSpace = " \t\r";
+  tokens->clear();
+  line = line.substr(0, line.find('#'));
+  for (size_t pos = line.find_first_not_of(kSpace);
+       pos != std::string_view::npos;
+       pos = line.find_first_not_of(kSpace, pos)) {
+    const size_t end = std::min(line.find_first_of(kSpace, pos), line.size());
+    tokens->push_back(line.substr(pos, end - pos));
+    pos = end;
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
 }
 
 /// Splits "key=value"; returns false if there is no '='.
-bool SplitKeyValue(const std::string& token, std::string* key,
-                   std::string* value) {
+bool SplitKeyValue(std::string_view token, std::string_view* key,
+                   std::string_view* value) {
   const size_t eq = token.find('=');
-  if (eq == std::string::npos) return false;
+  if (eq == std::string_view::npos) return false;
   *key = token.substr(0, eq);
   *value = token.substr(eq + 1);
   return true;
@@ -46,19 +47,28 @@ Status LineError(size_t line_no, const std::string& message) {
                                  message);
 }
 
-bool ParseU64(const std::string& text, uint64_t* out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
+/// LineError naming the offending token: "<what> '<token>'".
+Status LineError(size_t line_no, const char* what, std::string_view token) {
+  return LineError(line_no,
+                   std::string(what) + " '" + std::string(token) + "'");
+}
+
+bool ParseU64(std::string_view text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
   return ec == std::errc() && ptr == end;
 }
 
-bool ParseDouble(const std::string& text, double* out) {
-  // std::from_chars<double> is not universally available; istringstream is
-  // fine for config-file volumes.
-  std::istringstream stream(text);
-  stream >> *out;
-  return static_cast<bool>(stream) && stream.eof();
+/// A finite decimal number in the grammar of doc/workloads.md. Unlike
+/// bare from_chars it skips leading whitespace and one '+', and rejects
+/// inf and nan.
+bool ParseDouble(std::string_view text, double* out) {
+  text.remove_prefix(std::min(text.find_first_not_of(" \t\n\v\f\r"),
+                              text.size()));
+  if (!text.empty() && text.front() == '+') text.remove_prefix(1);
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
 }
 
 }  // namespace
@@ -67,40 +77,44 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
   NamedWorkload named;
   Workload& w = named.workload;
 
-  std::map<std::string, TableId> tables;
-  // (table id, attr name) -> attribute id.
-  std::map<std::pair<TableId, std::string>, AttributeId> attributes;
+  // Keys view `text`, which outlives the parse.
+  std::unordered_map<std::string_view, TableId> tables;
+  std::vector<std::unordered_map<std::string_view, AttributeId>> attributes;
   bool have_table = false;
   TableId current_table = 0;
-  std::string current_table_name;
+  std::string_view current_table_name;
 
-  std::istringstream input(text);
-  std::string line;
+  std::vector<std::string_view> tokens;
+  const std::string_view input(text);
   size_t line_no = 0;
-  while (std::getline(input, line)) {
+  for (size_t begin = 0; begin < input.size();) {
+    const size_t end = std::min(input.find('\n', begin), input.size());
+    const std::string_view line = input.substr(begin, end - begin);
+    begin = end + 1;
     ++line_no;
-    const std::vector<std::string> tokens = Tokenize(line);
+    Tokenize(line, &tokens);
     if (tokens.empty()) continue;
-    const std::string& verb = tokens.front();
+    const std::string_view verb = tokens.front();
 
     if (verb == "table") {
       if (tokens.size() != 3) {
         return LineError(line_no, "expected: table <name> rows=<count>");
       }
-      const std::string& name = tokens[1];
+      const std::string_view name = tokens[1];
       if (tables.count(name)) {
-        return LineError(line_no, "duplicate table '" + name + "'");
+        return LineError(line_no, "duplicate table", name);
       }
-      std::string key;
-      std::string value;
+      std::string_view key;
+      std::string_view value;
       uint64_t rows = 0;
       if (!SplitKeyValue(tokens[2], &key, &value) || key != "rows" ||
           !ParseU64(value, &rows) || rows == 0) {
         return LineError(line_no, "expected rows=<positive count>");
       }
-      current_table = w.AddTable(name, rows);
+      current_table = w.AddTable(std::string(name), rows);
       current_table_name = name;
       tables[name] = current_table;
+      attributes.emplace_back();
       have_table = true;
     } else if (verb == "attr") {
       if (!have_table) {
@@ -111,17 +125,17 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
                          "expected: attr <name> distinct=<count> "
                          "[size=<bytes>]");
       }
-      const std::string& name = tokens[1];
-      if (attributes.count({current_table, name})) {
-        return LineError(line_no, "duplicate attribute '" + name + "'");
+      const std::string_view name = tokens[1];
+      if (attributes[current_table].count(name)) {
+        return LineError(line_no, "duplicate attribute", name);
       }
       uint64_t distinct = 0;
       uint64_t size = 4;
       for (size_t t = 2; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
+        std::string_view key;
+        std::string_view value;
         if (!SplitKeyValue(tokens[t], &key, &value)) {
-          return LineError(line_no, "malformed option '" + tokens[t] + "'");
+          return LineError(line_no, "malformed option", tokens[t]);
         }
         if (key == "distinct") {
           if (!ParseU64(value, &distinct) || distinct == 0) {
@@ -132,7 +146,7 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
             return LineError(line_no, "size must be positive bytes");
           }
         } else {
-          return LineError(line_no, "unknown attr option '" + key + "'");
+          return LineError(line_no, "unknown attr option", key);
         }
       }
       if (distinct == 0) {
@@ -140,8 +154,11 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
       }
       const AttributeId id = w.AddAttribute(
           current_table, distinct, static_cast<uint32_t>(size));
-      attributes[{current_table, name}] = id;
-      named.attribute_names.push_back(current_table_name + "." + name);
+      attributes[current_table][name] = id;
+      std::string& full =
+          named.attribute_names.emplace_back(current_table_name);
+      full += '.';
+      full += name;
     } else if (verb == "query") {
       if (tokens.size() < 4) {
         return LineError(line_no,
@@ -150,7 +167,7 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
       }
       auto table_it = tables.find(tokens[1]);
       if (table_it == tables.end()) {
-        return LineError(line_no, "unknown table '" + tokens[1] + "'");
+        return LineError(line_no, "unknown table", tokens[1]);
       }
       const TableId table = table_it->second;
       double freq = 0.0;
@@ -162,10 +179,10 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
           kind = QueryKind::kWrite;
           continue;
         }
-        std::string key;
-        std::string value;
+        std::string_view key;
+        std::string_view value;
         if (!SplitKeyValue(tokens[t], &key, &value)) {
-          return LineError(line_no, "malformed option '" + tokens[t] + "'");
+          return LineError(line_no, "malformed option", tokens[t]);
         }
         if (key == "freq") {
           if (!ParseDouble(value, &freq) || freq <= 0.0) {
@@ -173,18 +190,19 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
           }
         } else if (key == "attrs") {
           have_attrs = true;
-          std::string attr_name;
-          std::istringstream attr_stream(value);
-          while (std::getline(attr_stream, attr_name, ',')) {
-            auto attr_it = attributes.find({table, attr_name});
-            if (attr_it == attributes.end()) {
-              return LineError(line_no,
-                               "unknown attribute '" + attr_name + "'");
+          // Comma-separated; one trailing comma ends the list.
+          for (size_t pos = 0; pos < value.size();) {
+            const size_t comma = std::min(value.find(',', pos), value.size());
+            const std::string_view attr_name = value.substr(pos, comma - pos);
+            pos = comma + 1;
+            auto attr_it = attributes[table].find(attr_name);
+            if (attr_it == attributes[table].end()) {
+              return LineError(line_no, "unknown attribute", attr_name);
             }
             attrs.push_back(attr_it->second);
           }
         } else {
-          return LineError(line_no, "unknown query option '" + key + "'");
+          return LineError(line_no, "unknown query option", key);
         }
       }
       if (!(freq > 0.0)) return LineError(line_no, "query requires freq=");
@@ -194,7 +212,7 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
       auto added = w.AddQuery(table, std::move(attrs), freq, kind);
       if (!added.ok()) return LineError(line_no, added.status().message());
     } else {
-      return LineError(line_no, "unknown directive '" + verb + "'");
+      return LineError(line_no, "unknown directive", verb);
     }
   }
 

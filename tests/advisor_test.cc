@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <regex>
+#include <string>
+#include <vector>
 
 #include "advisor/advisor.h"
 #include "common/deadline.h"
@@ -134,6 +137,50 @@ TEST(AdvisorTest, ReportUsesAttributeNames) {
   ASSERT_FALSE(rec->selection.empty());
   const std::string report = RenderReport(*env.engine, *rec, &names);
   EXPECT_NE(report.find("col_"), std::string::npos);
+}
+
+TEST(AdvisorTest, ReportCountsBestPlansLikeANaiveScan) {
+  // Indexes sharing a leading attribute tie on every query that uses only
+  // that attribute; a scan of every (query, index) pair gives the query to
+  // the first of them in configuration order.
+  TestEnv env;
+  std::vector<Index> family;
+  for (workload::QueryId j : {0u, 1u}) {
+    for (workload::AttributeId a : env.w.query(j).attributes) {
+      family.emplace_back(a);
+      for (workload::AttributeId b :
+           env.w.table(env.w.attribute(a).table).attributes) {
+        if (b != a) family.push_back(Index(a).Append(b));
+      }
+    }
+  }
+  Recommendation rec;
+  rec.selection = costmodel::IndexConfig(family);
+  const auto& indexes = rec.selection.indexes();
+  std::vector<size_t> served(indexes.size(), 0);
+  for (workload::QueryId j = 0; j < env.w.num_queries(); ++j) {
+    double best = env.engine->BaseCost(j);
+    size_t owner = indexes.size();
+    for (size_t p = 0; p < indexes.size(); ++p) {
+      if (!env.engine->Applicable(j, indexes[p])) continue;
+      const double cost = env.engine->CostWithIndex(j, indexes[p]);
+      if (cost < best) {
+        best = cost;
+        owner = p;
+      }
+    }
+    if (owner < indexes.size()) ++served[owner];
+  }
+
+  const std::string report = RenderReport(*env.engine, rec);
+  const std::regex count("best plan for ([0-9]+) queries");
+  std::vector<size_t> reported;
+  for (auto it = std::sregex_iterator(report.begin(), report.end(), count);
+       it != std::sregex_iterator(); ++it) {
+    reported.push_back(std::stoul((*it)[1].str()));
+  }
+  EXPECT_EQ(reported, served);
+  EXPECT_GT(indexes.size(), 10u);
 }
 
 // -- Deadline / anytime semantics --------------------------------------------

@@ -2,11 +2,15 @@
 //
 // The parser is the library's untrusted-input boundary: real deployments
 // feed it schema/statistics files exported from other systems. The harness
-// asserts two properties on arbitrary bytes:
+// asserts three properties on arbitrary bytes:
 //
 //   1. ParseWorkload never crashes, hangs, or trips a sanitizer — it either
 //      returns a workload or a Status with a line number.
-//   2. Accepted inputs are a formatter fixpoint: FormatWorkload(parse(x))
+//   2. It agrees with the reference parser (tests/reference/): the same
+//      verdict, the same status message including the line number, and
+//      on acceptance the same names, schema, attribute lists, kinds and
+//      frequency bits.
+//   3. Accepted inputs are a formatter fixpoint: FormatWorkload(parse(x))
 //      re-parses successfully and formats to the same text. A drift here
 //      means save/load of a tuning problem silently changes it.
 //
@@ -20,6 +24,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "reference/reference_parser.h"
 #include "workload/parser.h"
 #include "workload/workload.h"
 
@@ -39,6 +44,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
 
   auto parsed = idxsel::workload::ParseWorkload(text);
+  const std::string diff = idxsel::reference::DiffParse(
+      parsed, idxsel::reference::ReferenceParseWorkload(text));
+  if (!diff.empty()) {
+    std::fprintf(stderr,
+                 "fuzz_workload_parser: production differs from the "
+                 "reference (%s)\n",
+                 diff.c_str());
+    std::abort();
+  }
   if (!parsed.ok()) {
     // Rejections must carry a message; an empty error string would leave
     // users with no way to locate the bad line.

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/random.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/reconfiguration.h"
 #include "costmodel/what_if.h"
 #include "exec/thread_pool.h"
+#include "rt/fault_injection.h"
 #include "workload/scalable_generator.h"
 
 namespace idxsel::costmodel {
@@ -357,6 +362,237 @@ TEST_F(WhatIfFixture, ConcurrentStatsAccountingBalances) {
   const WhatIfStats stats = engine.stats();
   EXPECT_EQ(stats.calls + stats.cache_hits, kLanes * kRepeats * lookups);
   EXPECT_EQ(stats.calls, lookups);  // exactly-once per distinct key
+}
+
+// ------------------------------------------------- F(I*) contract
+
+/// Logs every backend call, in order, before forwarding it.
+class RecordingBackend : public WhatIfBackend {
+ public:
+  RecordingBackend(const WhatIfBackend* inner, std::vector<std::string>* log)
+      : inner_(inner), log_(log) {}
+
+  double BaseCost(QueryId j) const override {
+    log_->push_back("base " + std::to_string(j));
+    return inner_->BaseCost(j);
+  }
+  double CostWithIndex(QueryId j, const Index& k) const override {
+    log_->push_back("cost " + std::to_string(j) + " " + k.ToString());
+    return inner_->CostWithIndex(j, k);
+  }
+  double CostWithConfig(QueryId j, const IndexConfig& config) const override {
+    log_->push_back("config " + std::to_string(j) + " " + config.ToString());
+    return inner_->CostWithConfig(j, config);
+  }
+  double IndexMemory(const Index& k) const override {
+    log_->push_back("memory " + k.ToString());
+    return inner_->IndexMemory(k);
+  }
+  double MaintenanceCost(QueryId j, const Index& k) const override {
+    log_->push_back("maintenance " + std::to_string(j) + " " + k.ToString());
+    return inner_->MaintenanceCost(j, k);
+  }
+
+ private:
+  const WhatIfBackend* inner_;
+  std::vector<std::string>* log_;
+};
+
+/// F(I*) the obvious way: every query against every configured index, in
+/// configuration order, through the keyed API only.
+double NaiveWorkloadCost(WhatIfEngine& engine, const IndexConfig& config) {
+  const workload::Workload& w = engine.workload();
+  double total = 0.0;
+  for (QueryId j = 0; j < w.num_queries(); ++j) {
+    double best = engine.BaseCost(j);
+    for (const Index& k : config.indexes()) {
+      if (engine.Applicable(j, k)) {
+        best = std::min(best, engine.CostWithIndex(j, k));
+      }
+    }
+    total += w.query(j).frequency * best;
+  }
+  for (const Index& k : config.indexes()) total += engine.MaintenancePenalty(k);
+  return total;
+}
+
+/// 2-4 tables of 3-7 attributes; no query touches a table's last
+/// attribute, and `write_share` of the templates are writes.
+workload::Workload RandomWorkload(uint64_t seed, double write_share) {
+  Rng rng(seed);
+  workload::Workload w;
+  const int64_t tables = rng.UniformInt(2, 4);
+  for (int64_t t = 0; t < tables; ++t) {
+    const auto table = w.AddTable(std::string("t").append(std::to_string(t)),
+                                  static_cast<uint64_t>(
+                                      rng.UniformInt(1'000, 2'000'000)));
+    const int64_t attrs = rng.UniformInt(3, 7);
+    for (int64_t i = 0; i < attrs; ++i) {
+      w.AddAttribute(table,
+                     static_cast<uint64_t>(rng.UniformInt(1, 500'000)),
+                     rng.UniformInt(0, 1) == 0 ? 4u : 8u);
+    }
+  }
+  const int64_t queries = rng.UniformInt(20, 60);
+  for (int64_t q = 0; q < queries; ++q) {
+    const auto table =
+        static_cast<workload::TableId>(rng.UniformInt(0, tables - 1));
+    const auto& attrs = w.table(table).attributes;
+    std::vector<AttributeId> picked;
+    const int64_t width = rng.UniformInt(1, 4);
+    for (int64_t u = 0; u < width; ++u) {
+      picked.push_back(attrs[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(attrs.size()) - 2))]);
+    }
+    const auto kind = rng.NextDouble() < write_share
+                          ? workload::QueryKind::kWrite
+                          : workload::QueryKind::kRead;
+    EXPECT_TRUE(w.AddQuery(table, std::move(picked),
+                           static_cast<double>(rng.UniformInt(1, 10'000)),
+                           kind)
+                    .ok());
+  }
+  w.Finalize();
+  return w;
+}
+
+/// Up to 12 random indexes of width 1-3 over any attribute (unused ones
+/// included); half of them also bring a sibling with the same leading
+/// attribute.
+IndexConfig RandomConfig(const workload::Workload& w, Rng& rng) {
+  std::vector<Index> indexes;
+  const int64_t n = rng.UniformInt(0, 12);
+  for (int64_t c = 0; c < n; ++c) {
+    const auto table = static_cast<workload::TableId>(
+        rng.UniformInt(0, static_cast<int64_t>(w.num_tables()) - 1));
+    std::vector<AttributeId> attrs = w.table(table).attributes;
+    for (size_t u = 0; u + 1 < attrs.size(); ++u) {  // Fisher-Yates
+      std::swap(attrs[u], attrs[static_cast<size_t>(rng.UniformInt(
+                              static_cast<int64_t>(u),
+                              static_cast<int64_t>(attrs.size()) - 1))]);
+    }
+    const Index k(std::vector<AttributeId>(
+        attrs.begin(), attrs.begin() + rng.UniformInt(1, 3)));
+    indexes.push_back(k);
+    if (rng.UniformInt(0, 1) == 0) {
+      indexes.push_back(k.Prefix(1).Append(attrs.back()));
+    }
+  }
+  return IndexConfig(std::move(indexes));
+}
+
+/// One cold engine over Recording(optional FaultInjecting(model)).
+struct ContractSide {
+  ContractSide(const workload::Workload& w,
+               const rt::FaultInjectionOptions* faults)
+      : model(&w), plain(&model) {
+    if (faults != nullptr) {
+      chaos = std::make_unique<rt::FaultInjectingBackend>(&plain, *faults);
+    }
+    recorder = std::make_unique<RecordingBackend>(
+        chaos != nullptr ? static_cast<const WhatIfBackend*>(chaos.get())
+                         : &plain,
+        &log);
+    engine = std::make_unique<WhatIfEngine>(&w, recorder.get());
+  }
+
+  CostModel model;
+  ModelBackend plain;
+  std::unique_ptr<rt::FaultInjectingBackend> chaos;
+  std::vector<std::string> log;
+  std::unique_ptr<RecordingBackend> recorder;
+  std::unique_ptr<WhatIfEngine> engine;
+};
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// Prices `configs` in order on a production side and a naive side, both
+/// cold at the start, and requires the same bits, counters and backend
+/// call sequence after every configuration.
+/// Returns the production side's sanitized count.
+uint64_t ExpectSameAsNaive(const workload::Workload& w,
+                           const std::vector<IndexConfig>& configs,
+                           const rt::FaultInjectionOptions* faults) {
+  ContractSide fast(w, faults);
+  ContractSide naive(w, faults);
+  for (size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE("configuration " + std::to_string(c) + " " +
+                 configs[c].ToString());
+    const double got = fast.engine->WorkloadCost(configs[c]);
+    const double want = NaiveWorkloadCost(*naive.engine, configs[c]);
+    EXPECT_EQ(Bits(got), Bits(want)) << got << " vs " << want;
+    const WhatIfStats a = fast.engine->stats();
+    const WhatIfStats b = naive.engine->stats();
+    EXPECT_EQ(a.calls, b.calls);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.skipped_inapplicable, b.skipped_inapplicable);
+    EXPECT_EQ(a.sanitized, b.sanitized);
+    EXPECT_EQ(fast.engine->health().ToString(),
+              naive.engine->health().ToString());
+    EXPECT_EQ(fast.log, naive.log);
+    if (faults != nullptr) {
+      EXPECT_EQ(fast.chaos->stats().calls, naive.chaos->stats().calls);
+      EXPECT_EQ(fast.chaos->stats().total_injected(),
+                naive.chaos->stats().total_injected());
+    }
+  }
+  return fast.engine->stats().sanitized;
+}
+
+TEST(WorkloadCostContractTest, MatchesNaiveLoopOnRandomWorkloads) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const workload::Workload w = RandomWorkload(seed, seed % 2 ? 0.3 : 0.0);
+    Rng rng(seed * 7919);
+    std::vector<IndexConfig> configs;
+    for (int c = 0; c < 6; ++c) configs.push_back(RandomConfig(w, rng));
+    ExpectSameAsNaive(w, configs, nullptr);
+  }
+}
+
+TEST(WorkloadCostContractTest, SharedLeadingAttributesEmptyAndUnused) {
+  const workload::Workload w = RandomWorkload(99, 0.25);
+  const AttributeId a = w.query(0).attributes.front();
+  const auto& table = w.table(w.attribute(a).table).attributes;
+  const AttributeId unused = table.back();  // no query touches it
+  ASSERT_TRUE(w.queries_with(unused).empty());
+  std::vector<Index> family = {Index(a), Index(unused)};
+  for (AttributeId b : table) {
+    if (b == a) continue;
+    family.push_back(Index(a).Append(b));
+    family.push_back(Index(unused).Append(b == unused ? a : b));
+  }
+  family.push_back(Index(a).Append(table.back()).Append(table.front() == a
+                                                            ? table[1]
+                                                            : table.front()));
+  const IndexConfig shared(family);
+  ASSERT_GE(shared.size(), 5u);
+  const IndexConfig unused_only({Index(unused), Index(unused).Append(a)});
+  ExpectSameAsNaive(w, {IndexConfig{}, shared, unused_only, IndexConfig{},
+                        shared},
+                    nullptr);
+}
+
+TEST(WorkloadCostContractTest, MatchesNaiveLoopUnderFaultInjection) {
+  uint64_t sanitized = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const workload::Workload w = RandomWorkload(seed + 100, 0.3);
+    Rng rng(seed * 104729);
+    std::vector<IndexConfig> configs;
+    for (int c = 0; c < 5; ++c) configs.push_back(RandomConfig(w, rng));
+    rt::FaultInjectionOptions faults;
+    faults.seed = seed;
+    faults.nan_probability = 0.05;
+    faults.inf_probability = 0.05;
+    faults.negative_probability = 0.05;
+    sanitized += ExpectSameAsNaive(w, configs, &faults);
+  }
+  EXPECT_GT(sanitized, 0u) << "no fault reached a sanitizer";
 }
 
 }  // namespace
