@@ -282,8 +282,9 @@ struct ShardPoint {
 /// not depend on the auto-shard threshold. Shard-count-dependent work
 /// numbers are read back from the idxsel.shard.* telemetry counters via
 /// an obs::RunScope, exactly as production telemetry would see them.
-/// threads=0 lets both legs use every core (exec::ResolveThreads), so the
-/// wall-clock comparison is parallel-vs-parallel, not a thread handicap.
+/// threads=0 is the advisor default; both legs run plain H6 and the shard
+/// layer, which are serial at any thread count, so the wall-clock
+/// comparison is serial-vs-serial.
 ShardPoint RunShard(const ShardScale& scale, double budget_w) {
   ShardPoint point;
   workload::ScalableWorkloadParams params;

@@ -64,13 +64,11 @@ int main(int argc, char** argv) {
   costmodel::WhatIfEngine engine(&w, &backend);
 
   // 4. Give the advisor half of the memory all single-attribute indexes
-  //    would need, and let it construct a configuration. threads = 0
-  //    honors the IDXSEL_THREADS environment override (falling back to
-  //    hardware_concurrency); parallel runs return bit-identical results,
-  //    so this is purely a wall-clock knob (doc/parallelism.md).
+  //    would need, and let it construct a configuration. Plain H6 runs
+  //    serially; only the Remark-2 evaluation mode fans out over
+  //    `options.threads` lanes (doc/parallelism.md).
   core::RecursiveOptions options;
   options.budget = model.Budget(0.5);
-  options.threads = 0;
   if (argc > 1) {
     const double limit_ms = std::strtod(argv[1], nullptr);
     options.deadline = rt::Deadline::After(limit_ms / 1000.0);

@@ -12,7 +12,7 @@
 #include "common/telemetry.h"
 #include "cophy/cophy.h"
 #include "costmodel/ddl.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/obs.h"
 #include "selection/heuristics.h"
 
@@ -105,7 +105,6 @@ StrategyOutcome RunStrategy(WhatIfEngine& engine, StrategyKind kind,
         } else {
           shard::ShardedOptions sharded;
           sharded.shards = shard_count;
-          sharded.threads = threads;
           sharded.max_steps = options.recursive.max_steps;
           sharded.min_ratio = options.recursive.min_ratio;
           sharded.max_index_width = options.recursive.max_index_width;
@@ -353,12 +352,7 @@ Result<Recommendation> Recommend(WhatIfEngine& engine,
                       deadline, advisor_bounded, inner_threads,
                       /*shard_count=*/0, rec.cost_before);
     };
-    if (threads > 1) {
-      exec::ThreadPool pool(std::min(threads, lanes.size()));
-      pool.ParallelFor(lanes.size(), run_lane, /*grain=*/1);
-    } else {
-      for (size_t i = 0; i < lanes.size(); ++i) run_lane(i);
-    }
+    exec::ParallelFor(threads, lanes.size(), run_lane);
 
     // Deterministic reduction: lowest workload cost among feasible lanes;
     // strict `<` keeps the earliest lane (primary, then portfolio order)

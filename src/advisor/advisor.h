@@ -75,19 +75,22 @@ struct AdvisorOptions {
   core::RecursiveOptions recursive;     ///< H6 extensions (budget is set
                                         ///< by the advisor).
 
-  /// Worker threads for every parallel stage under this Recommend() call:
-  /// H6 round evaluation, MIP subtree exploration, and portfolio racing.
+  /// Worker threads for the parallel stages under this Recommend() call:
+  /// portfolio racing, MIP subtree exploration, and the Remark-2
+  /// (`recursive.multi_index_eval`) move evaluation. Plain H6 and the
+  /// sharded path run serially at any value: a memoized H6 round has too
+  /// little work to fan out (doc/parallelism.md has the numbers).
   /// 0 = auto (exec::DefaultThreads(): the IDXSEL_THREADS env override, or
   /// hardware_concurrency clamped to [1, 64]); 1 forces fully serial
   /// execution; n = exactly n lanes. Overrides `recursive.threads` and
-  /// `solver.threads`. Auto is the default because parallel H6 and MIP
-  /// runs return the same recommendations as serial ones — see
-  /// doc/parallelism.md and EXPERIMENTS.md.
+  /// `solver.threads`. Auto is the default because parallel runs return
+  /// the same recommendations as serial ones — see doc/parallelism.md and
+  /// EXPERIMENTS.md.
   size_t threads = 0;
   /// Portfolio racing: additional strategies run concurrently against
-  /// `strategy` under the same budget and deadline, each on its own lane
-  /// of the shared pool (serially, one after another, when only one
-  /// thread is available — same winner either way). The recommendation is
+  /// `strategy` under the same budget and deadline, each on its own
+  /// thread (serially, one after another, when only one thread is
+  /// available — same winner either way). The recommendation is
   /// the feasible selection with the lowest workload cost; ties go to the
   /// primary, then to portfolio order, so the winner is deterministic and
   /// independent of which lane finishes first. A lane that hits the

@@ -71,49 +71,22 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  /// Blocks until notified; `mu` must be held (it is released during the
-  /// wait and reacquired before return, like std::condition_variable).
-  void Wait(Mutex& mu) IDXSEL_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // ownership stays with the caller's guard
-  }
-
-  /// Blocks until `pred()` is true (spurious-wakeup safe).
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate pred) IDXSEL_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock, std::move(pred));
-    lock.release();
-  }
-
-  /// Blocks until `pred()` is true or `rel_time` elapsed; returns pred().
-  /// Prefer WaitUntil loops when the predicate reads IDXSEL_GUARDED_BY
-  /// fields: the analysis cannot see that `pred` runs under `mu`, so a
-  /// guarded read inside the lambda would (correctly) be flagged.
-  template <typename Rep, typename Period, typename Predicate>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& rel_time,
-               Predicate pred) IDXSEL_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const bool satisfied = cv_.wait_for(lock, rel_time, std::move(pred));
-    lock.release();
-    return satisfied;
-  }
-
   /// Blocks until notified or `deadline` passed; returns false on timeout.
-  /// The predicate-free shape for hand-written wait loops whose condition
-  /// reads guarded fields (re-check the condition after every return).
+  /// `mu` must be held (it is released during the wait and reacquired
+  /// before return, like std::condition_variable). The predicate-free
+  /// shape for hand-written wait loops whose condition reads guarded
+  /// fields (re-check the condition after every return): the analysis
+  /// cannot see that a predicate lambda runs under `mu`.
   template <typename Clock, typename Duration>
   bool WaitUntil(Mutex& mu,
                  const std::chrono::time_point<Clock, Duration>& deadline)
       IDXSEL_REQUIRES(mu) {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     const std::cv_status status = cv_.wait_until(lock, deadline);
-    lock.release();
+    lock.release();  // ownership stays with the caller's guard
     return status == std::cv_status::no_timeout;
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -2,16 +2,17 @@
 //
 // The layering DAG (DESIGN.md §2, enforced by tools/idxsel_lint) places
 // `exec` and `kernel` beside `obs`, not above it: neither may include obs
-// headers. Yet the thread pool wants its task/steal counters in run
-// reports. This header squares that circle with a fixed table of plain
-// relaxed atomics that any layer — including `common`'s own dependents at
-// the very bottom of the DAG — may bump, and that `obs` (which *does*
-// depend on common) publishes into every Registry snapshot under the
-// metric names below. Increments are never lost to initialization order:
-// the table is a function-local static of trivially-constructible atomics.
+// headers. Yet their counters (parallel-loop fan-outs, arena interns)
+// belong in run reports. This header squares that circle with a fixed
+// table of plain relaxed atomic counters that any layer — including
+// `common`'s own dependents at the very bottom of the DAG — may bump, and
+// that `obs` (which *does* depend on common) publishes into every
+// Registry snapshot under the metric names below. Increments are never
+// lost to initialization order: the table is a function-local static of
+// trivially-constructible atomics.
 //
-// Add a slot by extending the enum, the name table, and the kind table in
-// lockstep; doc/observability.md lists the published names.
+// Add a slot by extending the enum and the name table in lockstep;
+// doc/observability.md lists the published names.
 //
 // The second half of this header is the *selection-journal bridge*: a
 // structured decision record (JournalEvent) plus a process-wide sink
@@ -32,13 +33,10 @@
 
 namespace idxsel::telemetry {
 
-/// One process-wide metric owned by a layer that must not see obs.
+/// One process-wide counter owned by a layer that must not see obs.
 enum class Slot : size_t {
-  kExecTasks = 0,      ///< counter "idxsel.exec.tasks"
-  kExecSteals,         ///< counter "idxsel.exec.steals"
-  kExecParallelFors,   ///< counter "idxsel.exec.parallel_fors"
-  kExecPoolThreads,    ///< gauge   "idxsel.exec.pool_threads"
-  kKernelArenaInterns, ///< counter "idxsel.kernel.arena_interns"
+  kExecParallelFors = 0,  ///< counter "idxsel.exec.parallel_fors"
+  kKernelArenaInterns,    ///< counter "idxsel.kernel.arena_interns"
   // idxsel::serve lifecycle counters (doc/serve.md). The serve layer sits
   // above obs in the DAG and could use obs directly, but routing through
   // the bridge keeps one publishing path for every layer's counters.
@@ -69,20 +67,11 @@ enum class Slot : size_t {
 
 inline constexpr size_t kSlotCount = static_cast<size_t>(Slot::kSlotCount);
 
-/// Whether a slot publishes as a monotone counter or a level gauge.
-enum class SlotKind : uint8_t { kCounter, kGauge };
-
 /// Registry metric name a slot publishes under.
 constexpr const char* SlotName(Slot slot) {
   switch (slot) {
-    case Slot::kExecTasks:
-      return "idxsel.exec.tasks";
-    case Slot::kExecSteals:
-      return "idxsel.exec.steals";
     case Slot::kExecParallelFors:
       return "idxsel.exec.parallel_fors";
-    case Slot::kExecPoolThreads:
-      return "idxsel.exec.pool_threads";
     case Slot::kKernelArenaInterns:
       return "idxsel.kernel.arena_interns";
     case Slot::kServeDeltasAccepted:
@@ -127,11 +116,6 @@ constexpr const char* SlotName(Slot slot) {
   return "idxsel.telemetry.invalid";
 }
 
-constexpr SlotKind KindOf(Slot slot) {
-  return slot == Slot::kExecPoolThreads ? SlotKind::kGauge
-                                        : SlotKind::kCounter;
-}
-
 namespace internal {
 
 inline std::atomic<int64_t>* Table() {
@@ -147,25 +131,16 @@ inline void Add(Slot slot, int64_t delta = 1) {
       delta, std::memory_order_relaxed);
 }
 
-/// Gauge store.
-inline void Set(Slot slot, int64_t value) {
-  internal::Table()[static_cast<size_t>(slot)].store(
-      value, std::memory_order_relaxed);
-}
-
 inline int64_t Value(Slot slot) {
   return internal::Table()[static_cast<size_t>(slot)].load(
       std::memory_order_relaxed);
 }
 
-/// Rewinds every counter slot (gauges keep their level, mirroring
-/// obs::Registry::ResetCountersAndHistograms, which calls this so bridged
-/// counters reset in lockstep with registry ones).
+/// Rewinds every slot; obs::Registry::ResetCountersAndHistograms calls
+/// this so bridged counters reset in lockstep with registry ones.
 inline void ResetAll() {
   for (size_t s = 0; s < kSlotCount; ++s) {
-    if (KindOf(static_cast<Slot>(s)) == SlotKind::kCounter) {
-      internal::Table()[s].store(0, std::memory_order_relaxed);
-    }
+    internal::Table()[s].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -254,12 +229,12 @@ inline void EmitJournal(const JournalEvent& event) {
 
 /// Mutes JournalActive()/EmitJournal() on the *constructing thread* for
 /// the scope's lifetime (re-entrant; depth-counted). The sharded selector
-/// wraps each inner per-shard H6 run in one: shards run concurrently and
-/// are re-expanded on demand, so their raw records would interleave
-/// nondeterministically and duplicate replayed prefixes — the arbiter
-/// instead emits its own canonical, shard-count-invariant records
-/// (doc/sharding.md). Suppression is thread-local so concurrent journaled
-/// strategies on other threads (portfolio lanes) are unaffected.
+/// opens its per-shard H6 sessions inside one: the arbiter steps the
+/// shards in its own interleaved order, so their raw records would not
+/// read as one H6 run — the arbiter instead emits its own canonical,
+/// shard-count-invariant records (doc/sharding.md). Suppression is
+/// thread-local so concurrent journaled strategies on other threads
+/// (portfolio lanes) are unaffected.
 class ScopedJournalSuppress {
  public:
   ScopedJournalSuppress() { ++internal::JournalSuppressDepth(); }

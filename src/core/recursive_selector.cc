@@ -1,11 +1,9 @@
 #include "core/recursive_selector.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,7 +13,7 @@
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "exec/shared_deadline.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/obs.h"
 
 namespace idxsel::core {
@@ -82,9 +80,8 @@ struct Move {
 
 /// Per-attribute scratch of one append-evaluation unit: benefit
 /// accumulator, interned extension id, and an epoch stamp that makes
-/// clearing O(touched) instead of O(num_attributes). Thread-local because
-/// parallel rounds run units concurrently — each unit executes wholly on
-/// one thread, and the epoch isolates successive units on the same thread.
+/// clearing O(touched) instead of O(num_attributes). One per Runner:
+/// append units run one after another, and the epoch isolates them.
 struct AppendScratch {
   std::vector<double> benefit;
   std::vector<kernel::IndexId> ext_id;
@@ -92,7 +89,7 @@ struct AppendScratch {
   std::vector<workload::AttributeId> touched;
   uint64_t current = 0;
 
-  // Batched-evaluation lane state: per-attribute CSR bookkeeping plus the
+  // Batched-evaluation state: per-attribute CSR bookkeeping plus the
   // flat per-unit buffers the kernel reductions stream. Capacity persists
   // across units and rounds — the steady state stays allocation-free.
   std::vector<uint32_t> count;     ///< CSR entries per touched attribute
@@ -117,11 +114,6 @@ struct AppendScratch {
     ++current;
     touched.clear();
   }
-
-  static AppendScratch& Local() {
-    static thread_local AppendScratch scratch;
-    return scratch;
-  }
 };
 
 class Runner {
@@ -131,9 +123,7 @@ class Runner {
         w_(engine.workload()),
         opts_(opts),
         poller_(opts.deadline),
-        threads_(exec::ResolveThreads(opts.threads)) {
-    if (threads_ > 1) pool_.emplace(threads_);
-  }
+        multi_lanes_(exec::ResolveThreads(opts.threads)) {}
 
   /// Algorithm 1 to completion: setup, then one Propose/Commit pair per
   /// construction step — the same loop RecursiveSession steps by hand.
@@ -178,8 +168,7 @@ class Runner {
       freq_[j] = w_.query(j).frequency;
     }
     // Intern every single-attribute index up front: ids become
-    // deterministic, and the parallel single-ranking lanes never contend
-    // on the arena lock.
+    // deterministic, independent of the order the ranking touches them.
     single_ids_.resize(w_.num_attributes());
     for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
       single_ids_[i] = engine_.arena().Intern(&i, 1);
@@ -242,8 +231,8 @@ class Runner {
     }
     const double objective_after = objective_ + ReconfigTotal();
 
-    // End-of-round is the auditor's quiescent point: the pool's lanes
-    // have joined and the commit's dense-row inheritance is complete, so
+    // End-of-round is the auditor's quiescent point: every evaluation has
+    // finished and the commit's dense-row inheritance is complete, so
     // dense tables and hashed caches must agree exactly here. Debug
     // builds and the sanitizer CI leg (IDXSEL_AUDIT=1 env) run this.
     if (audit::Enabled()) {
@@ -342,8 +331,7 @@ class Runner {
     metrics.steps_swap->Add(swap_steps_);
     metrics.candidate_evals->Add(candidate_evals_);
     metrics.ratio_ties->Add(ratio_ties_);
-    metrics.kernel_filtered->Add(
-        kernel_filtered_.load(std::memory_order_relaxed));
+    metrics.kernel_filtered->Add(kernel_filtered_);
   }
 
  private:
@@ -351,9 +339,9 @@ class Runner {
   //
   // Emitted through the telemetry bridge (common/telemetry.h), never
   // through obs directly, and only at serial points — Consider() and the
-  // commit block run single-threaded in both the serial and the parallel
-  // evaluation paths, so the journal is byte-identical at any thread
-  // count and SIMD dispatch level.
+  // commit block always run on the driving thread, even when Remark-2
+  // evaluation fans out, so the journal is byte-identical at any thread
+  // count.
 
   /// Listed rejected moves per round; everything beyond is only counted.
   static constexpr size_t kJournalRejectCap = 32;
@@ -631,7 +619,7 @@ class Runner {
   /// Cached per-attribute f_j({i}) cost arrays, SoA-aligned with the
   /// posting list w_.queries_with(i) (element s belongs to posting[s]);
   /// the engine is consulted once per pair, every later step reads the
-  /// flat array — and the benefit reduction streams it 4 lanes at a time.
+  /// flat array — and the benefit reduction streams it in one pass.
   const std::vector<double>& SingleCosts(workload::AttributeId i) {
     if (!single_costs_ready_[i]) {
       single_costs_ready_[i] = 1;
@@ -709,34 +697,16 @@ class Runner {
     slot->valid = true;
   }
 
-  /// Runs `eval(u)` for every unit u in `units`; each call writes only
-  /// unit u's own cache slot and must not touch other Runner state than
-  /// the (read-only during a round) bookkeeping and the thread-safe
-  /// engine. Serial (threads == 1): ascending unit order, polling the
-  /// deadline between units. Parallel: the units run across the pool's
-  /// lanes; a deadline hit leaves some slots stale, and the caller then
-  /// discards the round (Propose returns false on expiry).
+  /// Runs `eval(u)` for every unit u in `units`, in ascending order,
+  /// polling the deadline between units. A deadline hit leaves the later
+  /// slots stale, and the caller then discards the round (Propose returns
+  /// false on expiry).
   template <typename Eval>
   void RunUnits(const std::vector<uint32_t>& units, const Eval& eval) {
-    if (units.empty()) return;
-    if (!pool_.has_value()) {
-      for (uint32_t u : units) {
-        if (poller_.Expired()) return;
-        eval(u);
-      }
-      return;
-    }
-    pool_->ParallelFor(units.size(), [&](size_t t) {
+    for (uint32_t u : units) {
       if (poller_.Expired()) return;
-      eval(units[t]);
-    });
-  }
-
-  /// Fills stale_units_ with 0..n-1 (unmemoized evaluators).
-  const std::vector<uint32_t>& AllUnits(size_t n) {
-    stale_units_.resize(n);
-    for (size_t u = 0; u < n; ++u) stale_units_[u] = static_cast<uint32_t>(u);
-    return stale_units_;
+      eval(u);
+    }
   }
 
   /// Brings every unit's cached moves up to date with the selection the
@@ -749,16 +719,7 @@ class Runner {
     const size_t n = eligible_singles_.size();
     const size_t m = selected_.size();
     if (opts_.multi_index_eval) {
-      const costmodel::IndexConfig current = CurrentConfig();
-      RunUnits(AllUnits(n), [&](size_t u) {
-        single_has_move_[u] =
-            EvaluateSingleMulti(u, current, &single_moves_[u]) ? 1 : 0;
-      });
-      if (poller_.expired()) return;
-      RunUnits(AllUnits(m), [&](size_t pos) {
-        append_moves_[pos].clear();
-        EvaluateAppendMulti(pos, current, &append_moves_[pos]);
-      });
+      EvaluateRoundMulti(n, m);
       return;
     }
 
@@ -782,11 +743,7 @@ class Runner {
       }
       RunUnits(stale_units_, [&](size_t pos) {
         append_moves_[pos].clear();
-        uint64_t filtered = 0;
-        EvaluateAppend(pos, &append_moves_[pos], &filtered);
-        if (filtered != 0) {
-          kernel_filtered_.fetch_add(filtered, std::memory_order_relaxed);
-        }
+        EvaluateAppend(pos, &append_moves_[pos], &kernel_filtered_);
       });
       for (uint32_t pos : stale_units_) append_fresh_[pos] = 1;
     }
@@ -798,16 +755,37 @@ class Runner {
 
     if (opts_.pair_steps) {
       if (pair_moves_.size() < n + m) pair_moves_.resize(n + m);
-      RunUnits(AllUnits(n), [&](size_t u) {
+      for (size_t u = 0; u < n && !poller_.Expired(); ++u) {
         pair_moves_[u].clear();
         EvaluateNewPairs(u, &pair_moves_[u]);
-      });
-      if (poller_.expired()) return;
-      RunUnits(AllUnits(m), [&](size_t pos) {
+      }
+      for (size_t pos = 0; pos < m && !poller_.Expired(); ++pos) {
         pair_moves_[n + pos].clear();
         EvaluateAppendPairs(pos, &pair_moves_[n + pos]);
-      });
+      }
     }
+  }
+
+  /// A Remark-2 round: every single (units 0..n-1), then every selected
+  /// position (units n..n+m-1), against the current configuration. The
+  /// one stage that fans out: each move re-costs its queries against a
+  /// whole hypothetical configuration, enough work per unit to pay for
+  /// starting `multi_lanes_` threads once per round. ParallelFor hands
+  /// out one unit per claim, so the append units at the end, which cost
+  /// far more than the singles, spread over the lanes. Each unit writes
+  /// only its own slot; FoldRound reduces them in unit order afterwards.
+  void EvaluateRoundMulti(size_t n, size_t m) {
+    const costmodel::IndexConfig current = CurrentConfig();
+    exec::ParallelFor(multi_lanes_, n + m, [&](size_t t) {
+      if (poller_.Expired()) return;
+      if (t < n) {
+        single_has_move_[t] =
+            EvaluateSingleMulti(t, current, &single_moves_[t]) ? 1 : 0;
+      } else {
+        append_moves_[t - n].clear();
+        EvaluateAppendMulti(t - n, current, &append_moves_[t - n]);
+      }
+    });
   }
 
   /// Considers every cached move in unit order — singles, appends, then
@@ -897,33 +875,12 @@ class Runner {
   /// acted on.
   void RankSingles() {
     std::vector<std::pair<double, workload::AttributeId>> ranked;
-    if (!pool_.has_value()) {
-      ranked.reserve(w_.num_attributes());
-      for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
-        if (poller_.Expired()) break;
-        const double mem = engine_.IndexMemory(Index(i));
-        const double ratio = SingleBenefit(i) / std::max(1.0, mem);
-        ranked.emplace_back(-ratio, i);
-      }
-    } else {
-      // Each lane ranks its own attributes: SingleCosts(i) and the ready
-      // flag live in per-attribute slots (distinct memory locations), so
-      // the warm-up writes never collide; per-attribute FP sums run in the
-      // same within-attribute order as serial. An expiry mid-ranking
-      // leaves holes, but the latched verdict then prevents any round (and
-      // the repair pass) from consuming the ranking — same contract as the
-      // serial early break.
-      ranked.assign(w_.num_attributes(),
-                    {0.0, workload::AttributeId{0}});
-      pool_->ParallelFor(w_.num_attributes(), [&](size_t u) {
-        if (poller_.Expired()) return;
-        const workload::AttributeId i =
-            static_cast<workload::AttributeId>(u);
-        const double mem = engine_.IndexMemory(Index(i));
-        const double ratio = SingleBenefit(i) / std::max(1.0, mem);
-        ranked[u] = {-ratio, i};
-      });
-      if (poller_.expired()) ranked.clear();
+    ranked.reserve(w_.num_attributes());
+    for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
+      if (poller_.Expired()) break;
+      const double mem = engine_.IndexMemory(Index(i));
+      const double ratio = SingleBenefit(i) / std::max(1.0, mem);
+      ranked.emplace_back(-ratio, i);
     }
     std::sort(ranked.begin(), ranked.end());
     const size_t keep = std::min(opts_.n_best_singles, ranked.size());
@@ -983,7 +940,7 @@ class Runner {
     if (kwidth >= opts_.max_index_width) return;
     const double base_mem = engine_.IndexMemoryDense(kid);
     const uint64_t kmask = arena.mask(kid);
-    AppendScratch& scratch = AppendScratch::Local();
+    AppendScratch& scratch = append_scratch_;
     scratch.Begin(w_.num_attributes());
     const workload::AttributeId lead = arena.leading(kid);
     const auto& posting = w_.queries_with(lead);
@@ -1417,10 +1374,7 @@ class Runner {
       const size_t kept_n =
           kernel::FilterMasks(qmasks.posting_masks(rlead), posting.size(),
                               rmask | abit, commit_kept_.data());
-      if (kept_n != posting.size()) {
-        kernel_filtered_.fetch_add(posting.size() - kept_n,
-                                   std::memory_order_relaxed);
-      }
+      kernel_filtered_ += posting.size() - kept_n;
       for (size_t t = 0; t < kept_n; ++t) {
         const workload::QueryId j = posting[commit_kept_[t]];
         if (!qmasks.exact()) {
@@ -1653,15 +1607,11 @@ class Runner {
   const workload::Workload& w_;
   const RecursiveOptions& opts_;
   // Amortized view of opts_.deadline, shared by every poll site — and by
-  // every parallel lane — so the latched expiry is visible across
+  // the Remark-2 lanes — so the latched expiry is visible across
   // evaluation/repair phases and across threads.
   exec::SharedDeadlinePoller poller_;
-  size_t threads_;
-  // Private pool (threads_ - 1 workers; the evaluating thread participates
-  // in every ParallelFor). Per-runner so concurrently racing strategies
-  // (advisor portfolio mode) and tests each get exactly the lane count
-  // they asked for.
-  std::optional<exec::ThreadPool> pool_;
+  size_t multi_lanes_;  ///< Remark-2 evaluation lanes (opts.threads)
+  AppendScratch append_scratch_;  ///< EvaluateAppend's unit scratch
 
   std::vector<Index> selected_;
   // Per query: cheapest cost over {f_j(0)} + selected indexes, the position
@@ -1685,7 +1635,7 @@ class Runner {
   std::vector<char> single_selected_;
 
   // The move memo (see "Move memo" above). Slots are written by their own
-  // unit only, so parallel lanes never share one.
+  // unit only, so the Remark-2 lanes never share one.
   std::vector<Move> single_moves_;     ///< Per eligible single: its move.
   std::vector<char> single_has_move_;  ///< ... or none ({i} selected).
   std::vector<std::vector<Move>> append_moves_;  ///< Parallel to selected_.
@@ -1702,10 +1652,9 @@ class Runner {
   Stopwatch watch_;
   uint64_t calls_before_ = 0;
   bool dead_on_arrival_ = false;
-  /// Mask-filtered query count; atomic because parallel evaluation units
-  /// flush their per-unit tallies concurrently. Published to
+  /// Mask-filtered query count, published to
   /// idxsel.kernel.filtered_queries in the end-of-run batch.
-  std::atomic<uint64_t> kernel_filtered_{0};
+  uint64_t kernel_filtered_ = 0;
   double objective_ = 0.0;
   double used_memory_ = 0.0;
   Index replaced_;

@@ -117,8 +117,11 @@ struct RecursiveOptions {
   /// anytime because every committed prefix of the trace is a feasible,
   /// budget-respecting selection. See doc/robustness.md.
   rt::Deadline deadline;
-  /// Worker threads for evaluating each round's candidate moves (and the
-  /// step-2 single-attribute ranking). 1 = serial (default), 0 = auto
+  /// Lanes of the Remark-2 (`multi_index_eval`) move evaluation, the one
+  /// stage of a run that fans out; everything else — the step-2 ranking,
+  /// memoized rounds, pair rounds, prune and swap — runs serially in
+  /// ascending unit order at any value, because a memoized round has too
+  /// little work to pay for threads. 1 = serial (default), 0 = auto
   /// (exec::DefaultThreads()), n = exactly n lanes. Parallel runs return
   /// *bit-identical* results to serial ones: moves are evaluated in
   /// parallel into per-unit buffers but reduced serially in the serial

@@ -31,8 +31,8 @@ namespace idxsel::costmodel {
 
 /// Source of query costs and index sizes — "the what-if optimizer".
 ///
-/// Thread-safety contract: parallel selection (exec::ThreadPool wired
-/// through RecursiveSelector / mip::Solve / the advisor's portfolio mode)
+/// Thread-safety contract: parallel selection (exec::ParallelFor in the
+/// Remark-2 H6 evaluators, mip::Solve and the advisor's portfolio mode)
 /// issues concurrent calls, so backends must tolerate concurrent const
 /// calls. The bundled backends do: ModelBackend is pure, MeasuredCostSource
 /// serializes internally, rt::FaultInjectingBackend guards its PRNG.

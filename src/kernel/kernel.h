@@ -31,8 +31,8 @@
 //
 // Thread-safety: interning takes a mutex; reads of interned entries are
 // lock-free and valid for any id obtained by this thread or published to
-// it with external synchronization (the exec::ThreadPool barriers of the
-// parallel selector provide exactly that). Entry storage is chunked with
+// it with external synchronization (the thread start and join of
+// exec::ParallelFor provide exactly that). Entry storage is chunked with
 // stable addresses, so growth never invalidates concurrent readers.
 
 #ifndef IDXSEL_KERNEL_KERNEL_H_

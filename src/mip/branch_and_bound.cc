@@ -8,7 +8,7 @@
 
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/obs.h"
 
 namespace idxsel::mip {
@@ -487,8 +487,8 @@ class Engine {
 };
 
 /// Parallel solve: deterministic BFS split into a thread-count-independent
-/// set of subproblems, work-stealing execution with a shared incumbent for
-/// pruning, DFS-ordered deterministic reduction. See doc/parallelism.md.
+/// set of subproblems, exec::ParallelFor execution with a shared incumbent
+/// for pruning, DFS-ordered deterministic reduction. See doc/parallelism.md.
 SolveResult SolveParallel(const Problem& problem, const SolveOptions& opts,
                           size_t threads) {
   obs::Span solve_span("mip", "mip.solve");
@@ -538,8 +538,8 @@ SolveResult SolveParallel(const Problem& problem, const SolveOptions& opts,
     frontier.clear();
   }
 
-  // Phase 2 — solve the subproblems on a work-stealing pool. Jobs are
-  // launched in DFS order (include-dives first, like the serial engine)
+  // Phase 2 — solve the subproblems on `threads` lanes. Jobs are
+  // claimed in DFS order (include-dives first, like the serial engine)
   // and each starts from the splitter's deterministic incumbent; the
   // shared best only tightens pruning.
   std::vector<PathItem> jobs(std::make_move_iterator(frontier.begin()),
@@ -561,30 +561,23 @@ SolveResult SolveParallel(const Problem& problem, const SolveOptions& opts,
     bool timed_out = false;
   };
   std::vector<JobOutcome> outcomes(jobs.size());
-  if (!jobs.empty()) {
-    exec::ThreadPool pool(threads);
-    pool.ParallelFor(
-        jobs.size(),
-        [&](size_t i) {
-          Engine job(problem, opts, &shared, &watch);
-          job.SeedIncumbent(splitter.incumbent(),
-                            splitter.incumbent_benefit());
-          job.RunSubtree(jobs[i].path);
-          JobOutcome& out = outcomes[i];
-          out.benefit = job.incumbent_benefit();
-          out.improved =
-              job.incumbent_benefit() > splitter.incumbent_benefit() + kEps;
-          if (out.improved) out.selection = job.incumbent();
-          out.nodes = job.nodes();
-          out.bound_cutoffs = job.bound_cutoffs();
-          out.incumbent_updates = job.incumbent_updates();
-          out.pruned_lb_min = job.pruned_lb_min();
-          out.seconds_to_best = job.seconds_to_best();
-          out.stopped = job.stopped();
-          out.timed_out = job.timed_out();
-        },
-        /*grain=*/1);
-  }
+  exec::ParallelFor(threads, jobs.size(), [&](size_t i) {
+    Engine job(problem, opts, &shared, &watch);
+    job.SeedIncumbent(splitter.incumbent(), splitter.incumbent_benefit());
+    job.RunSubtree(jobs[i].path);
+    JobOutcome& out = outcomes[i];
+    out.benefit = job.incumbent_benefit();
+    out.improved =
+        job.incumbent_benefit() > splitter.incumbent_benefit() + kEps;
+    if (out.improved) out.selection = job.incumbent();
+    out.nodes = job.nodes();
+    out.bound_cutoffs = job.bound_cutoffs();
+    out.incumbent_updates = job.incumbent_updates();
+    out.pruned_lb_min = job.pruned_lb_min();
+    out.seconds_to_best = job.seconds_to_best();
+    out.stopped = job.stopped();
+    out.timed_out = job.timed_out();
+  });
 
   // Phase 3 — deterministic reduction, mirroring the serial incumbent
   // rule (strictly-eps-better replaces) over subtrees in DFS order.

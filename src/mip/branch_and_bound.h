@@ -48,11 +48,12 @@ struct SolveOptions {
   /// serial DFS (default), 0 = auto (exec::DefaultThreads()), n = n lanes.
   /// The parallel path splits the tree into a fixed, thread-count
   /// independent set of subproblems (deterministic BFS using the serial
-  /// branching rule), solves them on a work-stealing pool with a shared
-  /// atomic incumbent used only for *bound-safe* pruning, and reduces the
-  /// per-subtree optima in DFS order — so the optimality guarantee (gap)
-  /// is identical to serial, and the returned selection is independent of
-  /// the thread count. See doc/parallelism.md for the exactness argument.
+  /// branching rule), solves them through one exec::ParallelFor with a
+  /// shared atomic incumbent used only for *bound-safe* pruning, and
+  /// reduces the per-subtree optima in DFS order — so the optimality
+  /// guarantee (gap) is identical to serial, and the returned selection is
+  /// independent of the thread count. See doc/parallelism.md for the
+  /// exactness argument.
   size_t threads = 1;
 };
 

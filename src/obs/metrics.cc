@@ -195,17 +195,13 @@ MetricsSnapshot Registry::Snapshot() const {
     snapshot.gauges[name] = gauge->Value();
   }
   // Bridge the dependency-free telemetry slots (common/telemetry.h): layers
-  // below obs in the DAG (exec) publish through plain atomics instead of
-  // registry pointers; snapshots surface them under their registry names.
+  // below obs in the DAG (exec, kernel) publish through plain atomics
+  // instead of registry pointers; snapshots surface them as counters under
+  // their registry names.
   for (size_t s = 0; s < telemetry::kSlotCount; ++s) {
     const auto slot = static_cast<telemetry::Slot>(s);
-    const int64_t value = telemetry::Value(slot);
-    if (telemetry::KindOf(slot) == telemetry::SlotKind::kGauge) {
-      snapshot.gauges[telemetry::SlotName(slot)] = value;
-    } else {
-      snapshot.counters[telemetry::SlotName(slot)] =
-          static_cast<uint64_t>(value);
-    }
+    snapshot.counters[telemetry::SlotName(slot)] =
+        static_cast<uint64_t>(telemetry::Value(slot));
   }
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot h;

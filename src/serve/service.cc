@@ -572,7 +572,6 @@ void AdvisorService::EnsureShardSession(const advisor::AdvisorOptions& opts) {
   if (shard_session_ != nullptr && shard_session_->shards() == shards) return;
   shard::ShardedOptions sharded;
   sharded.shards = shards;
-  sharded.threads = opts.threads;
   sharded.max_steps = opts.recursive.max_steps;
   sharded.min_ratio = opts.recursive.min_ratio;
   sharded.max_index_width = opts.recursive.max_index_width;

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/float_cmp.h"
 #include "common/telemetry.h"
-#include "exec/thread_pool.h"
 
 namespace idxsel::shard {
 
@@ -131,7 +130,7 @@ void EmitShardCommit(uint64_t round, const std::string& winner, double ratio,
   event.winner_ratio = ratio;
   // No margin, no candidate list: both would leak how proposals were
   // grouped into shards. Every field below is a function of the committed
-  // move sequence only — byte-identical at any shard/thread count.
+  // move sequence only — byte-identical at any shard count.
   event.objective_before = objective_before;
   event.objective_after = objective_after;
   event.memory_after = memory_after;
@@ -189,7 +188,6 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   core::RecursiveOptions ropts;
   ropts.min_ratio = options_.min_ratio;
   ropts.max_index_width = options_.max_index_width;
-  ropts.threads = 1;
   ropts.deadline = deadline;
   std::vector<std::unique_ptr<core::RecursiveSession>> sessions(num_shards);
   std::vector<const core::ConstructionStep*> proposal(num_shards, nullptr);
@@ -204,27 +202,16 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     proposal_fresh[s] = 1;
   };
 
-  // Setup and first proposals in parallel: they carry the expensive part
-  // (base costs, single-attribute ranking, round-1 evaluation — the bulk
-  // of the backend calls). Later rounds run serially inside the
-  // deterministic arbitration loop.
+  // Setup and first proposals, shard by shard. Inner H6 journals are
+  // muted: the arbiter steps the shards in its own interleaved order, so
+  // raw records would not read as one H6 run; it emits the canonical
+  // records instead. Each session samples the journal gate once, here.
   {
-    const size_t lanes =
-        std::min(exec::ResolveThreads(options_.threads), num_shards);
-    auto open = [&](size_t s) {
-      // Inner H6 journals are muted: shards run concurrently, so raw
-      // records would interleave. The arbiter emits the canonical records
-      // instead. The session samples the journal gate once, here.
-      telemetry::ScopedJournalSuppress mute;
+    telemetry::ScopedJournalSuppress mute;
+    for (size_t s = 0; s < num_shards; ++s) {
       sessions[s] =
           std::make_unique<core::RecursiveSession>(*states_[s]->engine, ropts);
       propose(s);
-    };
-    if (lanes > 1) {
-      exec::ThreadPool pool(lanes);
-      pool.ParallelFor(num_shards, open, 1);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) open(s);
     }
   }
 

@@ -14,11 +14,11 @@
 // Exactness: on single-table-coupled workloads (every query touches one
 // table — the model of Section II-A) the committed move sequence, the
 // selection, the trace values, and the emitted journal records are
-// bit-identical to unsharded H6 at any shard count and any thread count,
-// provided the shared extensions are off (see the advisor's eligibility
-// gate) and compression is off. doc/sharding.md carries the proof sketch
-// and the two epsilon-boundary caveats (cross-table exact ratio ties,
-// budget knife-edge FP reassociation).
+// bit-identical to unsharded H6 at any shard count, provided the shared
+// extensions are off (see the advisor's eligibility gate) and compression
+// is off. doc/sharding.md carries the proof sketch and the two
+// epsilon-boundary caveats (cross-table exact ratio ties, budget
+// knife-edge FP reassociation).
 //
 // Work: a shard evaluates its round c+1 once, after its step c commits,
 // and only the units that commit touched (the H6 move memo). Each
@@ -32,12 +32,12 @@
 // unsharded run consults (doc/sharding.md §calls).
 //
 // Journal discipline: inner per-shard H6 journals are suppressed
-// (telemetry::ScopedJournalSuppress) — shards run concurrently, so raw
-// records would interleave. The arbiter emits its own lane ("shard"): one
-// commit record per round plus a terminal stop record, none of whose
-// fields depend on the shard or thread count. Shard-count-dependent
-// numbers (shards used, budget clamps) go to idxsel.shard.* telemetry and
-// bench sidecars only.
+// (telemetry::ScopedJournalSuppress) — the arbiter steps the shards in
+// its own interleaved order, so raw records would not read as one H6
+// run. The arbiter emits its own lane ("shard"): one commit record per
+// round plus a terminal stop record, none of whose fields depend on the
+// shard count. Shard-count-dependent numbers (shards used, budget clamps)
+// go to idxsel.shard.* telemetry and bench sidecars only.
 
 #ifndef IDXSEL_SHARD_SHARDED_SELECTOR_H_
 #define IDXSEL_SHARD_SHARDED_SELECTOR_H_
@@ -62,10 +62,6 @@ namespace idxsel::shard {
 struct ShardedOptions {
   /// Shard count (clamped to [1, query-bearing tables]).
   size_t shards = 1;
-  /// Lanes for the parallel session setup and first proposals (later
-  /// rounds are serial — they happen inside the deterministic arbitration
-  /// loop). 1 = serial.
-  size_t threads = 1;
   /// Global commit cap / minimal improvement ratio / index width cap —
   /// same semantics as core::RecursiveOptions.
   size_t max_steps = std::numeric_limits<size_t>::max();

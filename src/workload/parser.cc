@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -144,6 +145,9 @@ Result<NamedWorkload> ParseWorkload(const std::string& text) {
         } else if (key == "size") {
           if (!ParseU64(value, &size) || size == 0) {
             return LineError(line_no, "size must be positive bytes");
+          }
+          if (size > std::numeric_limits<uint32_t>::max()) {
+            return LineError(line_no, "size must be below 2^32 bytes");
           }
         } else {
           return LineError(line_no, "unknown attr option", key);

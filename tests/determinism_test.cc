@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "common/telemetry.h"
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/what_if.h"
@@ -192,6 +193,35 @@ TEST(DeterminismTest, SelectorDirectAcrossThreadCounts) {
           << "runner-up " << s;
     }
   }
+}
+
+TEST(DeterminismTest, OnlyRemark2EvaluationFansOut) {
+  // Plain and pair-step H6 run serially at any thread count: a memoized
+  // round has too little work to pay for threads. Only the Remark-2
+  // evaluators start threads (doc/parallelism.md).
+  Env env;
+  const auto fan_outs = [] {
+    return telemetry::Value(telemetry::Slot::kExecParallelFors);
+  };
+  core::RecursiveOptions options;
+  options.budget = env.model->Budget(0.25);
+  options.threads = 4;
+  for (const bool pairs : {false, true}) {
+    options.pair_steps = pairs;
+    WhatIfEngine engine(&env.w, env.backend.get());
+    const int64_t before = fan_outs();
+    const core::RecursiveResult got = core::SelectRecursive(engine, options);
+    EXPECT_GE(got.trace.size(), 2u) << "pair_steps=" << pairs;
+    EXPECT_EQ(fan_outs(), before) << "pair_steps=" << pairs;
+  }
+
+  options.pair_steps = false;
+  options.multi_index_eval = true;
+  WhatIfEngine engine(&env.w, env.backend.get());
+  const int64_t before = fan_outs();
+  const core::RecursiveResult got = core::SelectRecursive(engine, options);
+  EXPECT_GE(got.trace.size(), 2u);
+  EXPECT_GT(fan_outs(), before);
 }
 
 TEST(DeterminismTest, MipSolveDirectAcrossThreadCounts) {

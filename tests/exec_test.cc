@@ -1,28 +1,31 @@
-// Tests for idxsel::exec — work-stealing pool, sharded map, and the shared
-// deadline poller that make the parallel pipeline safe.
+// Tests for idxsel::exec — the spawn-per-call parallel loop, sharded map,
+// and the shared deadline poller that make the parallel pipeline safe.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/hash.h"
+#include "common/telemetry.h"
+#include "exec/parallel_for.h"
 #include "exec/shared_deadline.h"
 #include "exec/sharded_map.h"
-#include "exec/thread_pool.h"
 
 namespace idxsel::exec {
 namespace {
 
-TEST(ThreadPoolTest, ResolveThreadsContract) {
+int64_t FanOuts() {
+  return telemetry::Value(telemetry::Slot::kExecParallelFors);
+}
+
+TEST(ParallelForTest, ResolveThreadsContract) {
   EXPECT_GE(ResolveThreads(0), 1u);
   EXPECT_LE(ResolveThreads(0), kMaxThreads);
   EXPECT_EQ(ResolveThreads(1), 1u);
@@ -30,82 +33,69 @@ TEST(ThreadPoolTest, ResolveThreadsContract) {
   EXPECT_EQ(ResolveThreads(100000), kMaxThreads);
 }
 
-TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&sum, i] { sum += i; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsValues) {
-  ThreadPool pool(2);
-  std::future<int> f = pool.Submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, SizeOnePoolRunsInline) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.Submit([&] { seen = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(seen, caller);
-  std::vector<int> hits(10, 0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   constexpr size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(4, kN, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ParallelForZeroAndTinyRanges) {
-  ThreadPool pool(4);
+TEST(ParallelForTest, ZeroAndOneIterationsRunInline) {
+  const int64_t before = FanOuts();
   int calls = 0;
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
+  ParallelFor(4, 0, [&](size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  std::atomic<int> one{0};
-  pool.ParallelFor(1, [&](size_t) { one.fetch_add(1); });
-  EXPECT_EQ(one.load(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id seen;
+  ParallelFor(4, 1, [&](size_t i) {
+    ++calls;
+    EXPECT_EQ(i, 0u);
+    seen = std::this_thread::get_id();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen, caller);
+  EXPECT_EQ(FanOuts(), before) << "a loop that starts no thread is no fan-out";
 }
 
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // The caller participates in its own loop, so a ParallelFor issued from
-  // inside a pool task always makes progress even when every worker is
-  // busy in the outer loop.
-  ThreadPool pool(2);
+TEST(ParallelForTest, OneThreadRunsOnTheCallerInOrder) {
+  const int64_t before = FanOuts();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool all_on_caller = true;
+  ParallelFor(1, 100, [&](size_t i) {
+    order.push_back(i);
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(FanOuts(), before);
+}
+
+TEST(ParallelForTest, NestedCallCompletes) {
+  // Every call starts and joins its own threads, so a ParallelFor issued
+  // from inside a body cannot wait on lanes the outer loop holds.
   std::atomic<int> total{0};
-  pool.ParallelFor(8, [&](size_t) {
-    pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
+  ParallelFor(2, 8, [&](size_t) {
+    ParallelFor(2, 8, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPoolTest, ParallelForUsesMultipleLanes) {
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "single-core machine";
-  }
-  ThreadPool pool(4);
+TEST(ParallelForTest, FansOutOverSeveralThreadsAndCountsIt) {
+  const int64_t before = FanOuts();
   std::mutex mu;
   std::set<std::thread::id> lanes;
-  pool.ParallelFor(
-      256,
-      [&](size_t) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        std::lock_guard<std::mutex> lock(mu);
-        lanes.insert(std::this_thread::get_id());
-      },
-      /*grain=*/1);
+  ParallelFor(4, 256, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> lock(mu);
+    lanes.insert(std::this_thread::get_id());
+  });
   EXPECT_GE(lanes.size(), 2u);
+  EXPECT_LE(lanes.size(), 4u);
+  EXPECT_EQ(FanOuts(), before + 1);
 }
 
 struct IdentityHash {
@@ -138,21 +128,17 @@ TEST(ShardedMapTest, ConcurrentGetOrComputeIsExactlyOnce) {
   constexpr size_t kCallsPerLane = 2000;
   std::atomic<uint64_t> computes{0};
   std::atomic<uint64_t> hits{0};
-  ThreadPool pool(4);
-  pool.ParallelFor(
-      4,
-      [&](size_t lane) {
-        for (size_t c = 0; c < kCallsPerLane; ++c) {
-          const uint64_t key = (lane * 31 + c) % kKeys;
-          auto [value, hit] = map.GetOrCompute(key, [&] {
-            computes.fetch_add(1);
-            return key * 10;
-          });
-          ASSERT_EQ(value, key * 10);
-          if (hit) hits.fetch_add(1);
-        }
-      },
-      /*grain=*/1);
+  ParallelFor(4, 4, [&](size_t lane) {
+    for (size_t c = 0; c < kCallsPerLane; ++c) {
+      const uint64_t key = (lane * 31 + c) % kKeys;
+      auto [value, hit] = map.GetOrCompute(key, [&] {
+        computes.fetch_add(1);
+        return key * 10;
+      });
+      ASSERT_EQ(value, key * 10);
+      if (hit) hits.fetch_add(1);
+    }
+  });
   EXPECT_EQ(computes.load(), kKeys);
   EXPECT_EQ(hits.load() + computes.load(), 4 * kCallsPerLane);
   EXPECT_EQ(map.Size(), kKeys);
@@ -206,9 +192,8 @@ TEST(SharedDeadlineTest, ExpiredDeadlineLatchesForEveryLane) {
   SharedDeadlinePoller poller(deadline, /*stride=*/1);
   EXPECT_TRUE(poller.Expired());
   // Latched: every lane sees it without consulting the clock again.
-  ThreadPool pool(4);
   std::atomic<int> seen{0};
-  pool.ParallelFor(64, [&](size_t) {
+  ParallelFor(4, 64, [&](size_t) {
     if (poller.Expired()) seen.fetch_add(1);
   });
   EXPECT_EQ(seen.load(), 64);

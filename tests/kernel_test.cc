@@ -156,19 +156,6 @@ std::optional<Outcome> RunUnderFaults(Env& env, const AdvisorOptions& options,
   return Outcome{*rec, engine.stats(), chaos.stats()};
 }
 
-/// Run-report counters that must match between two serial runs; the
-/// kernel's own counters stay in (fast-path hits, fallback lookups,
-/// mask-filtered queries), work-steal counts do not.
-std::map<std::string, uint64_t> ComparableCounters(
-    const obs::RunReport& report) {
-  std::map<std::string, uint64_t> out;
-  for (const auto& [name, value] : report.metrics.counters) {
-    if (name == "idxsel.exec.steals") continue;
-    out.emplace(name, value);
-  }
-  return out;
-}
-
 /// What two runs decided, bit for bit: selection, figures, trace, and
 /// the journal bytes — the winner's and the listed rejected candidates'
 /// benefit, ratio and margin rendered at %.17g, a stronger probe than the
@@ -218,8 +205,10 @@ void ExpectSameOutcome(const Outcome& first, const Outcome& second,
   EXPECT_EQ(first.engine_stats.sanitized, second.engine_stats.sanitized)
       << label;
 
-  EXPECT_EQ(ComparableCounters(first.rec.report),
-            ComparableCounters(second.rec.report))
+  // Every run-report counter, the kernel's own (fast-path hits, fallback
+  // lookups, mask-filtered queries) included.
+  EXPECT_EQ(first.rec.report.metrics.counters,
+            second.rec.report.metrics.counters)
       << label;
 
   // The injector advances one PRNG per backend call: equal tallies mean

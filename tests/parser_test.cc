@@ -123,7 +123,15 @@ INSTANTIATE_TEST_SUITE_P(
                 "expected"},
         BadCase{"UnknownAttrOption",
                 "table t rows=5\nattr a distinct=2 wat=1\n",
-                "unknown attr option"}),
+                "unknown attr option"},
+        // Sizes are stored in 32 bits: 2^32 would wrap to 0, which
+        // AddAttribute's CHECK aborts on, and 2^32 + 4 to 4.
+        BadCase{"SizeTwoToThe32",
+                "table t rows=5\nattr a distinct=2 size=4294967296\n",
+                "line 2: size must be below 2^32 bytes"},
+        BadCase{"SizeWrapsToFour",
+                "table t rows=5\nattr a distinct=2 size=4294967300\n",
+                "line 2: size must be below 2^32 bytes"}),
     [](const ::testing::TestParamInfo<BadCase>& param) {
       return std::string(param.param.name);
     });

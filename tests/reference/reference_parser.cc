@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -132,6 +133,9 @@ Result<NamedWorkload> ReferenceParseWorkload(const std::string& text) {
         } else if (key == "size") {
           if (!ParseU64(value, &size) || size == 0) {
             return LineError(line_no, "size must be positive bytes");
+          }
+          if (size > std::numeric_limits<uint32_t>::max()) {
+            return LineError(line_no, "size must be below 2^32 bytes");
           }
         } else {
           return LineError(line_no, "unknown attr option '" + key + "'");

@@ -5,7 +5,7 @@
 // The headline assertions:
 //   * SelectSharded == SelectRecursive bitwise — selection, trace values,
 //     frontier, objective, memory, and selector-level what-if call count —
-//     at every shard count and thread count (compression off).
+//     at every shard count (compression off).
 //   * Advisor-level determinism matrix: shards {1,4,16} x threads {1,4}
 //     produce byte-identical recommendations and journal sidecars.
 //   * Chaos: one shard with a garbage-returning backend degrades the
@@ -272,10 +272,8 @@ TEST(CompressionV2Test, PerTableCompressionIsPartitionInvariant) {
 // ---------------------------------------------------------------------------
 
 void ExpectSameAsUnsharded(const core::RecursiveResult& ref,
-                           const ShardedResult& got, size_t shards,
-                           size_t threads) {
-  const std::string tag =
-      "shards=" + std::to_string(shards) + " threads=" + std::to_string(threads);
+                           const ShardedResult& got, size_t shards) {
+  const std::string tag = "shards=" + std::to_string(shards);
   EXPECT_TRUE(got.status.ok()) << tag << ": " << got.status.ToString();
   EXPECT_TRUE(ref.selection == got.selection) << tag;
   EXPECT_EQ(ref.objective, got.objective) << tag;
@@ -302,7 +300,7 @@ void ExpectSameAsUnsharded(const core::RecursiveResult& ref,
   }
 }
 
-TEST(ShardedSelectorTest, MatchesUnshardedBitwiseAcrossShardAndThreadCounts) {
+TEST(ShardedSelectorTest, MatchesUnshardedBitwiseAcrossShardCounts) {
   Env env;
   core::RecursiveOptions unsharded;
   unsharded.budget = env.model->Budget(0.3);
@@ -315,17 +313,14 @@ TEST(ShardedSelectorTest, MatchesUnshardedBitwiseAcrossShardAndThreadCounts) {
   const double cost_before = ref.trace[0].objective_before;
 
   for (size_t shards : {1u, 2u, 4u, 16u}) {
-    for (size_t threads : {1u, 4u}) {
-      ShardedOptions opts;
-      opts.shards = shards;
-      opts.threads = threads;
-      WhatIfEngine engine(&env.w, env.backend.get());
-      const ShardedResult got = shard::SelectSharded(
-          engine, opts, unsharded.budget, cost_before);
-      ExpectSameAsUnsharded(ref, got, shards, threads);
-      EXPECT_EQ(got.stats.arbiter_rounds, ref.trace.size());
-      EXPECT_LE(got.stats.shards_used, env.w.num_tables());
-    }
+    ShardedOptions opts;
+    opts.shards = shards;
+    WhatIfEngine engine(&env.w, env.backend.get());
+    const ShardedResult got = shard::SelectSharded(
+        engine, opts, unsharded.budget, cost_before);
+    ExpectSameAsUnsharded(ref, got, shards);
+    EXPECT_EQ(got.stats.arbiter_rounds, ref.trace.size());
+    EXPECT_LE(got.stats.shards_used, env.w.num_tables());
   }
 }
 
@@ -346,7 +341,7 @@ TEST(ShardedSelectorTest, RespectsMaxStepsAndMinRatio) {
   WhatIfEngine engine(&env.w, env.backend.get());
   const ShardedResult got = shard::SelectSharded(
       engine, opts, unsharded.budget, ref.trace[0].objective_before);
-  ExpectSameAsUnsharded(ref, got, 4, 1);
+  ExpectSameAsUnsharded(ref, got, 4);
 }
 
 TEST(ShardedSelectorTest, TinyBudgetAndZeroBudgetDegenerate) {
@@ -379,7 +374,7 @@ TEST(ShardedSelectorTest, SessionReuseAfterMarkDirtyStaysExact) {
       core::SelectRecursive(ref1_engine, unsharded);
   const ShardedResult got1 =
       session.Select(budget, ref1.trace[0].objective_before);
-  ExpectSameAsUnsharded(ref1, got1, 4, 1);
+  ExpectSameAsUnsharded(ref1, got1, 4);
 
   // Shift every template of table 2 (global workload mutated in place,
   // as serve does), then mark only that table dirty.
@@ -547,7 +542,6 @@ TEST(ShardedChaosTest, OneFaultyShardDegradesButStaysBudgetFeasible) {
   const double budget = env.model->Budget(0.3);
   ShardedOptions opts;
   opts.shards = 4;
-  opts.threads = 2;
   opts.wrap_backend = [](size_t s, const costmodel::WhatIfBackend& view)
       -> std::unique_ptr<costmodel::WhatIfBackend> {
     if (s != 1) return nullptr;  // only shard 1 is sick
@@ -575,7 +569,6 @@ TEST(ShardedChaosTest, OneFaultyShardDegradesButStaysBudgetFeasible) {
   // corrupted answers may legitimately change its own proposals).
   ShardedOptions clean_opts;
   clean_opts.shards = 4;
-  clean_opts.threads = 2;
   WhatIfEngine clean_engine(&env.w, env.backend.get());
   const ShardedResult clean =
       shard::SelectSharded(clean_engine, clean_opts, budget, 0.0);
@@ -589,7 +582,6 @@ TEST(ShardedChaosTest, FaultyShardIsDeterministicAcrossRepeats) {
   auto run = [&] {
     ShardedOptions opts;
     opts.shards = 4;
-    opts.threads = 4;
     opts.wrap_backend = [](size_t s, const costmodel::WhatIfBackend& view)
         -> std::unique_ptr<costmodel::WhatIfBackend> {
       if (s != 2) return nullptr;

@@ -14,7 +14,7 @@
 #include "costmodel/cost_model.h"
 #include "costmodel/reconfiguration.h"
 #include "costmodel/what_if.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "rt/fault_injection.h"
 #include "workload/scalable_generator.h"
 
@@ -312,23 +312,19 @@ TEST_F(WhatIfFixture, ConcurrentLookupsAreExactlyOncePerKey) {
   const uint64_t serial_calls = serial_engine.stats().calls;
 
   WhatIfEngine engine(&w_, backend_.get());
-  exec::ThreadPool pool(4);
   std::atomic<int> mismatches{0};
-  pool.ParallelFor(
-      4 * w_.num_queries(),
-      [&](size_t unit) {
-        const workload::QueryId j = unit % w_.num_queries();
-        if (engine.BaseCost(j) != model_->UnindexedCost(j)) {
-          mismatches.fetch_add(1);
-        }
-        for (workload::AttributeId i : w_.query(j).attributes) {
-          if (engine.CostWithIndex(j, Index(i)) !=
-              model_->CostWithIndex(j, Index(i))) {
-            mismatches.fetch_add(1);
-          }
-        }
-      },
-      /*grain=*/1);
+  exec::ParallelFor(4, 4 * w_.num_queries(), [&](size_t unit) {
+    const workload::QueryId j = unit % w_.num_queries();
+    if (engine.BaseCost(j) != model_->UnindexedCost(j)) {
+      mismatches.fetch_add(1);
+    }
+    for (workload::AttributeId i : w_.query(j).attributes) {
+      if (engine.CostWithIndex(j, Index(i)) !=
+          model_->CostWithIndex(j, Index(i))) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(engine.stats().calls, serial_calls)
       << "concurrent lanes must not duplicate backend calls";
@@ -345,20 +341,16 @@ TEST_F(WhatIfFixture, ConcurrentStatsAccountingBalances) {
   for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
     lookups += w_.query(j).attributes.size();
   }
-  exec::ThreadPool pool(kLanes);
-  pool.ParallelFor(
-      kLanes * kRepeats,
-      [&](size_t unit) {
-        const size_t seed = unit * 2654435761u;
-        for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
-          const workload::QueryId q =
-              (j + seed) % w_.num_queries();
-          for (workload::AttributeId i : w_.query(q).attributes) {
-            engine.CostWithIndex(q, Index(i));
-          }
-        }
-      },
-      /*grain=*/1);
+  exec::ParallelFor(kLanes, kLanes * kRepeats, [&](size_t unit) {
+    const size_t seed = unit * 2654435761u;
+    for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
+      const workload::QueryId q =
+          (j + seed) % w_.num_queries();
+      for (workload::AttributeId i : w_.query(q).attributes) {
+        engine.CostWithIndex(q, Index(i));
+      }
+    }
+  });
   const WhatIfStats stats = engine.stats();
   EXPECT_EQ(stats.calls + stats.cache_hits, kLanes * kRepeats * lookups);
   EXPECT_EQ(stats.calls, lookups);  // exactly-once per distinct key

@@ -530,8 +530,8 @@ void CheckJournalBridge(Context* ctx) {
 // ---------------------------------------------------------------------------
 // L1 companion: vector intrinsics stay behind the dispatch layer
 
-/// The only files allowed to touch intrinsics: src/kernel/simd.h,
-/// simd.cc, simd_impl.h, simd_avx2.cc.
+/// The only files allowed to touch intrinsics: src/kernel/simd*. None
+/// exists since the AVX2 dispatch layer was deleted (DESIGN.md §9).
 bool SimdConfined(const FileView& f) {
   return f.scope == Scope::kSrc && f.module == "kernel" && !f.segs.empty() &&
          f.segs.back().rfind("simd", 0) == 0;
@@ -550,12 +550,11 @@ bool HasPrefixWord(const std::string& s, const std::string& token) {
 }
 
 /// Raw SIMD intrinsics (immintrin.h and friends, _mm*/__m* names) and
-/// the implementation template simd_impl.h are confined to
-/// src/kernel/simd*; everything else calls the dispatched entry points
-/// in kernel/simd.h. A stray intrinsic elsewhere either breaks the
-/// portable build (only simd_avx2.cc is compiled with -mavx2) or
-/// silently bypasses the runtime cpuid dispatch and the force-scalar
-/// test pin — see doc/cost_model.md ("SIMD under the kernel").
+/// the old implementation template simd_impl.h are confined to
+/// src/kernel/simd*, which no longer exists: the kernel's loops are
+/// plain serial code whose FP order the reference H6 pins, and no
+/// target is compiled with -mavx2 — see doc/cost_model.md ("Why there
+/// is no vector layer").
 void CheckSimdConfinement(Context* ctx) {
   static const char* kIntrinsicHeaders[] = {
       "immintrin.h", "x86intrin.h", "emmintrin.h", "xmmintrin.h",

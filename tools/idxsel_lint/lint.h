@@ -13,9 +13,10 @@
 //                         telemetry::EmitJournal; obs::Journal* and
 //                         obs/journal.h stay inside src/obs + src/advisor
 //       simd-confinement  vector intrinsics (immintrin.h and friends,
-//                         _mm*/__m* names) and simd_impl.h stay inside
-//                         src/kernel/simd*; everything else calls the
-//                         runtime-dispatched entry points in kernel/simd.h
+//                         _mm*/__m* names) and simd_impl.h are admitted
+//                         only in src/kernel/simd*; no such file exists
+//                         since the kernel's loops became plain serial
+//                         code, so the check forbids them everywhere
 //   L2  determinism-random  rand()/srand()/std::random_device in src/
 //                           outside rt (seeded PRNGs live in common/random.h)
 //       determinism-clock   wall-clock (system_clock, time(), clock(),
