@@ -1,10 +1,38 @@
 #include "engine/composite_index.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 
 namespace idxsel::engine {
+namespace {
+
+constexpr uint32_t kDigitBits = 16;
+constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+
+/// One stable counting pass: reorders `rows` by the 16-bit digit of
+/// `column` at `shift`, keeping the current order within equal digits.
+/// `buckets` bounds the digits that occur; `counts` (grown to at most
+/// 2^16 + 1 counters) and `out` are scratch.
+void CountingPass(const std::vector<uint32_t>& column, uint32_t shift,
+                  uint32_t buckets, std::vector<uint32_t>* counts,
+                  std::vector<uint32_t>* rows, std::vector<uint32_t>* out) {
+  if (counts->size() < buckets + 1) counts->resize(buckets + 1);
+  uint32_t* const offset = counts->data();
+  std::fill(offset, offset + buckets + 1, 0u);
+  // The histogram does not depend on the row order: read the column
+  // front to back.
+  for (const uint32_t v : column) ++offset[((v >> shift) & kDigitMask) + 1];
+  std::partial_sum(offset, offset + buckets + 1, offset);
+  uint32_t* const dst = out->data();
+  for (const uint32_t r : *rows) {
+    dst[offset[(column[r] >> shift) & kDigitMask]++] = r;
+  }
+  rows->swap(*out);
+}
+
+}  // namespace
 
 CompositeIndex::CompositeIndex(const ColumnTable* table,
                                std::vector<uint32_t> columns)
@@ -13,17 +41,22 @@ CompositeIndex::CompositeIndex(const ColumnTable* table,
   IDXSEL_CHECK(!columns_.empty());
   for (uint32_t c : columns_) IDXSEL_CHECK_LT(c, table_->num_columns());
 
+  // LSD radix sort: the last key column's passes first, so the leading
+  // column's decide, and stable passes keep ties in row-id order.
   sorted_rows_.resize(table_->num_rows());
-  for (uint32_t r = 0; r < sorted_rows_.size(); ++r) sorted_rows_[r] = r;
-  std::sort(sorted_rows_.begin(), sorted_rows_.end(),
-            [&](uint32_t x, uint32_t y) {
-              for (uint32_t c : columns_) {
-                const uint32_t vx = table_->at(c, x);
-                const uint32_t vy = table_->at(c, y);
-                if (vx != vy) return vx < vy;
-              }
-              return x < y;  // stable row order within equal keys
-            });
+  std::iota(sorted_rows_.begin(), sorted_rows_.end(), 0u);
+  std::vector<uint32_t> scratch(sorted_rows_.size());
+  std::vector<uint32_t> counts;
+  for (auto c = columns_.rbegin(); c != columns_.rend(); ++c) {
+    const std::vector<uint32_t>& column = table_->column(*c);
+    const uint32_t max_value = *std::max_element(column.begin(), column.end());
+    CountingPass(column, 0, std::min(max_value, kDigitMask) + 1, &counts,
+                 &sorted_rows_, &scratch);
+    if (max_value > kDigitMask) {  // the high digit
+      CountingPass(column, kDigitBits, (max_value >> kDigitBits) + 1,
+                   &counts, &sorted_rows_, &scratch);
+    }
+  }
 }
 
 std::span<const uint32_t> CompositeIndex::Probe(

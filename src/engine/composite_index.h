@@ -1,9 +1,10 @@
 // Composite (multi-attribute) secondary index over a ColumnTable.
 //
 // Implemented as a row-id permutation sorted lexicographically by the index
-// columns — the classic position-list secondary index of main-memory column
-// stores. Probing an equality predicate on a key prefix is a binary search
-// (std::equal_range) returning a contiguous run of row ids.
+// columns, ties in row-id order — the classic position-list secondary index
+// of main-memory column stores. Probing an equality predicate on a key
+// prefix is a binary search (std::partition_point) returning a contiguous
+// run of row ids.
 
 #ifndef IDXSEL_ENGINE_COMPOSITE_INDEX_H_
 #define IDXSEL_ENGINE_COMPOSITE_INDEX_H_
@@ -19,7 +20,11 @@ namespace idxsel::engine {
 /// Secondary index on an ordered list of column ordinals of one table.
 class CompositeIndex {
  public:
-  /// Builds the index by sorting the table's row ids.
+  /// Builds the index by an LSD counting sort of the table's row ids:
+  /// from row-id order, one stable pass per 16-bit digit (one digit when
+  /// the column's largest value is below 2^16), key columns last to
+  /// first, so equal keys keep ascending row ids. Transient scratch: one
+  /// row-id vector and at most 2^16 + 1 counters.
   CompositeIndex(const ColumnTable* table, std::vector<uint32_t> columns);
 
   /// Key columns (table ordinals), in index order.

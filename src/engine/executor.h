@@ -38,7 +38,12 @@ class Executor {
       : table_(table), distinct_(std::move(distinct_counts)) {}
 
   /// Full sequential-scan plan: applies predicates most-selective-first
-  /// (by ascending estimated selectivity given `distinct` counts).
+  /// (by ascending estimated selectivity given `distinct` counts). The
+  /// first predicate reads its whole column in fixed-size blocks: a
+  /// branch-free match count per block, and a second, collecting read only
+  /// of a block that matched. The rest filter the surviving positions in
+  /// place. `rows_touched` is the column length plus every position a
+  /// later predicate reads.
   ExecutionResult ScanOnly(const std::vector<Predicate>& predicates) const;
 
   /// Index plan: probes `index` with the longest prefix of its key columns

@@ -80,7 +80,7 @@ double MeasuredCostSource::TimeExecution(QueryId j,
   return best;
 }
 
-double MeasuredCostSource::BaseCost(QueryId j) const {
+double MeasuredCostSource::MeasureBase(QueryId j) const {
   // Scan times are re-used across every CostWithIndex call for this query;
   // measuring them once keeps the evaluation protocol O(one execution per
   // (query, index) pair), like the paper's setup.
@@ -90,21 +90,33 @@ double MeasuredCostSource::BaseCost(QueryId j) const {
   return base_cache_[j];
 }
 
+double MeasuredCostSource::BaseCost(QueryId j) const {
+  common::MutexLock lock(&mu_);
+  return MeasureBase(j);
+}
+
 double MeasuredCostSource::CostWithIndex(QueryId j,
                                          const costmodel::Index& k) const {
+  common::MutexLock lock(&mu_);
   const CompositeIndex& index = GetOrBuildIndex(k);
   // Inapplicable indexes (unconstrained leading key column) fall back to
   // the scan plan, like a real optimizer would.
   if (Executor::CoverablePrefix(predicates_[j], index) == 0) {
-    return BaseCost(j);
+    return MeasureBase(j);
   }
   const double with_index = TimeExecution(j, &index);
   // The optimizer picks the better of probe and scan.
-  return std::min(with_index, BaseCost(j));
+  return std::min(with_index, MeasureBase(j));
 }
 
 double MeasuredCostSource::IndexMemory(const costmodel::Index& k) const {
+  common::MutexLock lock(&mu_);
   return static_cast<double>(GetOrBuildIndex(k).memory_bytes());
+}
+
+size_t MeasuredCostSource::indexes_built() const {
+  common::MutexLock lock(&mu_);
+  return indexes_.size();
 }
 
 }  // namespace idxsel::engine

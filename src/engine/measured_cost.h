@@ -11,6 +11,10 @@
 // Query templates are instantiated into concrete equality literals by
 // sampling one row per query (deterministic seed), guaranteeing non-empty
 // probe paths.
+//
+// Concurrent const calls (WhatIfBackend's contract) are serialized by one
+// lock taken at every public entry: builds, measurements and the caches
+// run one at a time, which the timing protocol needs anyway.
 
 #ifndef IDXSEL_ENGINE_MEASURED_COST_H_
 #define IDXSEL_ENGINE_MEASURED_COST_H_
@@ -18,6 +22,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "costmodel/what_if.h"
 #include "engine/column_store.h"
 #include "engine/composite_index.h"
@@ -43,21 +49,27 @@ class MeasuredCostSource : public costmodel::WhatIfBackend {
   }
 
   /// Number of physical index builds performed so far.
-  size_t indexes_built() const { return indexes_.size(); }
+  size_t indexes_built() const;
 
  private:
-  const CompositeIndex& GetOrBuildIndex(const costmodel::Index& k) const;
-  double TimeExecution(QueryId j, const CompositeIndex* index) const;
+  const CompositeIndex& GetOrBuildIndex(const costmodel::Index& k) const
+      IDXSEL_REQUIRES(mu_);
+  double TimeExecution(QueryId j, const CompositeIndex* index) const
+      IDXSEL_REQUIRES(mu_);
+  double MeasureBase(QueryId j) const IDXSEL_REQUIRES(mu_);
 
   const Database* db_;
   uint32_t repetitions_;
   std::vector<std::vector<Predicate>> predicates_;  // per query
   std::vector<Executor> executors_;                 // per table
+  mutable common::Mutex mu_;
   mutable std::unordered_map<costmodel::Index, CompositeIndex,
                              costmodel::IndexHash>
-      indexes_;
-  mutable std::vector<double> base_cache_;  // NaN = not yet measured
-  mutable uint64_t sink_ = 0;  // defeats dead-code elimination
+      indexes_ IDXSEL_GUARDED_BY(mu_);
+  // NaN = not yet measured.
+  mutable std::vector<double> base_cache_ IDXSEL_GUARDED_BY(mu_);
+  // Defeats dead-code elimination.
+  mutable uint64_t sink_ IDXSEL_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace idxsel::engine

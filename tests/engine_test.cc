@@ -1,9 +1,12 @@
 // Tests for the column store, composite indexes, the executor (against a
-// naive row-at-a-time reference), and the measured cost source.
+// naive row-at-a-time reference and, bit for bit, against the engine
+// before its linear-pass rewrite in tests/reference/), and the measured
+// cost source.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -12,6 +15,8 @@
 #include "engine/composite_index.h"
 #include "engine/executor.h"
 #include "engine/measured_cost.h"
+#include "exec/parallel_for.h"
+#include "reference/reference_engine.h"
 #include "workload/scalable_generator.h"
 
 namespace idxsel::engine {
@@ -411,6 +416,156 @@ TEST_P(CompositeIndexRandomTest, RandomProbesMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompositeIndexRandomTest,
                          ::testing::Range<uint64_t>(1, 11));
 
+// ----------------------------------------- the pre-rewrite engine, bit for bit
+
+using reference::ReferenceExecutor;
+using reference::ReferenceIndex;
+
+/// The index's whole row-id permutation through the public API: the Probe
+/// runs of the sorted distinct leading values, concatenated.
+std::vector<uint32_t> RowOrder(const ColumnTable& table,
+                               const CompositeIndex& index) {
+  std::vector<uint32_t> leading = table.column(index.columns().front());
+  std::sort(leading.begin(), leading.end());
+  leading.erase(std::unique(leading.begin(), leading.end()), leading.end());
+  std::vector<uint32_t> order;
+  for (const uint32_t v : leading) {
+    const std::span<const uint32_t> run = index.Probe({&v, 1});
+    order.insert(order.end(), run.begin(), run.end());
+  }
+  return order;
+}
+
+::testing::AssertionResult SameResult(const ExecutionResult& got,
+                                      const ExecutionResult& want) {
+  if (got.matches == want.matches && got.rows_touched == want.rows_touched) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "matches " << got.matches << " vs " << want.matches
+         << ", rows_touched " << got.rows_touched << " vs "
+         << want.rows_touched;
+}
+
+/// Domain classes of the radix build: one value, a few, one 16-bit digit,
+/// two digits, and the widest column the generator can draw.
+uint32_t DrawDomain(Rng& rng, int domain_class) {
+  switch (domain_class % 5) {
+    case 0:
+      return 1;
+    case 1:
+      return static_cast<uint32_t>(rng.UniformInt(2, 8));
+    case 2:
+      return static_cast<uint32_t>(rng.UniformInt(9, 20'000));
+    case 3:
+      return static_cast<uint32_t>(rng.UniformInt(60'000, 200'000));
+    default:
+      return std::numeric_limits<uint32_t>::max();  // values up to 2^32 - 2
+  }
+}
+
+/// Every key width 1..min(5, columns) over a random column order: the
+/// index's row order and size equal the reference's, and `plans` random
+/// plans (literals present and absent) give the reference's results on
+/// the scan and on every applicable index.
+void ExpectEngineMatchesReference(const ColumnTable& table,
+                                  const std::vector<uint32_t>& domains,
+                                  Rng& rng, int plans) {
+  const size_t num_cols = table.num_columns();
+  const Executor executor(&table, domains);
+  const ReferenceExecutor reference(&table, domains);
+  std::vector<uint32_t> order(num_cols);
+  std::iota(order.begin(), order.end(), 0u);
+  for (size_t c = order.size(); c > 1; --c) {
+    std::swap(order[c - 1], order[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int64_t>(c) - 1))]);
+  }
+  for (size_t width = 1; width <= std::min<size_t>(5, num_cols); ++width) {
+    const std::vector<uint32_t> key(order.begin(),
+                                    order.begin() + static_cast<long>(width));
+    const CompositeIndex index(&table, key);
+    const ReferenceIndex want(&table, key);
+    ASSERT_EQ(RowOrder(table, index), want.sorted_rows())
+        << "rows=" << table.num_rows() << " width=" << width;
+    EXPECT_EQ(index.memory_bytes(), want.memory_bytes());
+
+    for (int plan = 0; plan < plans; ++plan) {
+      const uint32_t row = static_cast<uint32_t>(
+          rng.UniformInt(0, static_cast<int64_t>(table.num_rows()) - 1));
+      std::vector<Predicate> predicates;
+      for (size_t c = 0; c < num_cols; ++c) {
+        if (rng.NextDouble() < 0.5) continue;
+        const uint32_t col = static_cast<uint32_t>(c);
+        // Present: the sampled row's value. Absent: the domain size, which
+        // no row holds.
+        const uint32_t literal = rng.NextDouble() < 0.8
+                                     ? table.at(col, row)
+                                     : domains[c];
+        predicates.push_back(Predicate{col, literal});
+      }
+      if (predicates.empty()) {
+        predicates.push_back(
+            Predicate{key.front(), table.at(key.front(), row)});
+      }
+      EXPECT_TRUE(SameResult(executor.ScanOnly(predicates),
+                             reference.ScanOnly(predicates)))
+          << "scan, width=" << width << " plan=" << plan;
+      if (Executor::CoverablePrefix(predicates, index) >= 1) {
+        EXPECT_TRUE(SameResult(executor.WithIndex(predicates, index),
+                               reference.WithIndex(predicates, want)))
+            << "index, width=" << width << " plan=" << plan;
+      }
+    }
+  }
+}
+
+TEST(EngineReferenceTest, OneRowTable) {
+  Rng rng(3);
+  for (int domain_class = 0; domain_class < 5; ++domain_class) {
+    std::vector<uint32_t> domains;
+    for (int c = 0; c < 5; ++c) {
+      domains.push_back(DrawDomain(rng, domain_class + c));
+    }
+    const ColumnTable table(1, domains, rng);
+    ExpectEngineMatchesReference(table, domains, rng, /*plans=*/8);
+  }
+}
+
+TEST(EngineReferenceTest, TwoToTheSixteenPlusOneRows) {
+  // Every domain class, and both sides of the one-digit boundary: a
+  // column of 2^16 values needs one counting pass, 2^16 + 1 values two.
+  Rng rng(5);
+  const std::vector<std::vector<uint32_t>> shapes = {
+      {1, DrawDomain(rng, 1), DrawDomain(rng, 2), 65'536, 65'537},
+      {DrawDomain(rng, 3), DrawDomain(rng, 4), 4, 20'000, 200'000}};
+  for (const std::vector<uint32_t>& domains : shapes) {
+    const ColumnTable table((1u << 16) + 1, domains, rng);
+    ExpectEngineMatchesReference(table, domains, rng, /*plans=*/40);
+  }
+}
+
+// Random tables of 1-30k rows and 1-5 columns, each column drawn from a
+// rotating domain class.
+class EngineReferenceSweepTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineReferenceSweepTest, MatchesTheEngineBeforeTheRewrite) {
+  Rng rng(GetParam());
+  const uint64_t rows = rng.NextDouble() < 0.25
+                            ? static_cast<uint64_t>(rng.UniformInt(1, 40))
+                            : static_cast<uint64_t>(rng.UniformInt(41, 30'000));
+  const size_t num_cols = static_cast<size_t>(rng.UniformInt(1, 5));
+  std::vector<uint32_t> domains;
+  for (size_t c = 0; c < num_cols; ++c) {
+    domains.push_back(
+        DrawDomain(rng, static_cast<int>(GetParam() + c)));
+  }
+  const ColumnTable table(rows, domains, rng);
+  ExpectEngineMatchesReference(table, domains, rng, /*plans=*/20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineReferenceSweepTest,
+                         ::testing::Range<uint64_t>(1, 41));
+
 // ----------------------------------------------------- measured cost source
 
 class MeasuredFixture : public ::testing::Test {
@@ -485,6 +640,45 @@ TEST_F(MeasuredFixture, WorksBehindWhatIfEngine) {
   const double cost = engine.WorkloadCost(config);
   EXPECT_GT(cost, 0.0);
   EXPECT_LE(cost, engine.WorkloadCost(costmodel::IndexConfig{}) * 1.001);
+}
+
+TEST_F(MeasuredFixture, ConcurrentPricingMatchesASerialRun) {
+  // Portfolio lanes and the Remark-2 evaluators price through one engine
+  // from several threads: the source must serialize its own index cache,
+  // scan cache and sink. Every query's single-attribute indexes and one
+  // two-attribute index, priced serially and from four lanes.
+  std::vector<costmodel::Index> indexes;
+  for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
+    const std::vector<workload::AttributeId>& a = w_.query(j).attributes;
+    for (const workload::AttributeId i : a) indexes.emplace_back(i);
+    if (a.size() >= 2) {
+      indexes.push_back(costmodel::Index(a[0]).Append(a[1]));
+    }
+  }
+  const auto price = [&](costmodel::WhatIfEngine& engine,
+                         workload::QueryId j) {
+    engine.BaseCost(j);
+    for (const costmodel::Index& k : indexes) {
+      if (w_.attribute(k.leading()).table != w_.query(j).table) continue;
+      engine.CostWithIndex(j, k);
+      engine.IndexMemory(k);
+    }
+  };
+
+  MeasuredCostSource serial_source(db_.get(), 3, 99);
+  costmodel::WhatIfEngine serial(&w_, &serial_source);
+  for (workload::QueryId j = 0; j < w_.num_queries(); ++j) price(serial, j);
+
+  MeasuredCostSource shared_source(db_.get(), 3, 99);
+  costmodel::WhatIfEngine shared(&w_, &shared_source);
+  exec::ParallelFor(4, w_.num_queries(), [&](size_t j) {
+    price(shared, static_cast<workload::QueryId>(j));
+  });
+
+  EXPECT_EQ(shared_source.indexes_built(), serial_source.indexes_built());
+  for (const costmodel::Index& k : indexes) {
+    EXPECT_EQ(shared.IndexMemory(k), serial.IndexMemory(k)) << k.ToString();
+  }
 }
 
 }  // namespace

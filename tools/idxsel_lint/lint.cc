@@ -528,14 +528,7 @@ void CheckJournalBridge(Context* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// L1 companion: vector intrinsics stay behind the dispatch layer
-
-/// The only files allowed to touch intrinsics: src/kernel/simd*. None
-/// exists since the AVX2 dispatch layer was deleted (DESIGN.md §9).
-bool SimdConfined(const FileView& f) {
-  return f.scope == Scope::kSrc && f.module == "kernel" && !f.segs.empty() &&
-         f.segs.back().rfind("simd", 0) == 0;
-}
+// L1 companion: no vector intrinsics
 
 /// Occurrences of `token` in `s` at identifier-start boundaries (the
 /// token is a prefix: intrinsic names continue past it, so FindWord's
@@ -549,12 +542,11 @@ bool HasPrefixWord(const std::string& s, const std::string& token) {
   return false;
 }
 
-/// Raw SIMD intrinsics (immintrin.h and friends, _mm*/__m* names) and
-/// the old implementation template simd_impl.h are confined to
-/// src/kernel/simd*, which no longer exists: the kernel's loops are
-/// plain serial code whose FP order the reference H6 pins, and no
-/// target is compiled with -mavx2 — see doc/cost_model.md ("Why there
-/// is no vector layer").
+/// Raw SIMD intrinsics (immintrin.h and friends, _mm*/__m* names) are
+/// flagged everywhere: no target is compiled with -mavx2, and where a
+/// vector loop pays (the engine's scan blocks) it is a plain loop the
+/// compiler vectorizes at the baseline flags — see doc/cost_model.md
+/// ("Why there is no vector layer").
 void CheckSimdConfinement(Context* ctx) {
   static const char* kIntrinsicHeaders[] = {
       "immintrin.h", "x86intrin.h", "emmintrin.h", "xmmintrin.h",
@@ -563,15 +555,7 @@ void CheckSimdConfinement(Context* ctx) {
   static const char* kIntrinsicTokens[] = {"_mm512_", "_mm256_", "_mm_",
                                            "__m512", "__m256", "__m128"};
   for (const FileView& f : ctx->files) {
-    if (f.is_cmake || SimdConfined(f)) continue;
-    for (const auto& [line, inc] : f.includes) {
-      if (inc == "kernel/simd_impl.h" || inc == "simd_impl.h") {
-        ctx->Report(f, line, "simd-confinement",
-                    "simd_impl.h is the implementation template of the "
-                    "dispatch layer; only src/kernel/simd* may include it — "
-                    "call the entry points in kernel/simd.h instead");
-      }
-    }
+    if (f.is_cmake) continue;
     for (size_t l = 0; l < f.code.size(); ++l) {
       const std::string& s = f.code[l];
       bool hit = false;
@@ -579,8 +563,8 @@ void CheckSimdConfinement(Context* ctx) {
         if (s.find(h) != std::string::npos) {
           ctx->Report(f, static_cast<int>(l + 1), "simd-confinement",
                       std::string("intrinsics header <") + h +
-                          "> outside src/kernel/simd*; use the dispatched "
-                          "entry points in kernel/simd.h");
+                          ">; write a plain loop the compiler vectorizes "
+                          "at the baseline flags");
           hit = true;
           break;
         }
@@ -590,9 +574,8 @@ void CheckSimdConfinement(Context* ctx) {
         if (HasPrefixWord(s, t)) {
           ctx->Report(f, static_cast<int>(l + 1), "simd-confinement",
                       std::string("raw SIMD intrinsic '") + t +
-                          "...' outside src/kernel/simd*; vector code lives "
-                          "behind the kernel/simd.h dispatch so the scalar "
-                          "fallback and IDXSEL_FORCE_SCALAR stay honest");
+                          "...'; write a plain loop the compiler "
+                          "vectorizes at the baseline flags");
           break;
         }
       }

@@ -13,10 +13,9 @@
 //                         telemetry::EmitJournal; obs::Journal* and
 //                         obs/journal.h stay inside src/obs + src/advisor
 //       simd-confinement  vector intrinsics (immintrin.h and friends,
-//                         _mm*/__m* names) and simd_impl.h are admitted
-//                         only in src/kernel/simd*; no such file exists
-//                         since the kernel's loops became plain serial
-//                         code, so the check forbids them everywhere
+//                         _mm*/__m* names) are flagged everywhere; a
+//                         vector loop is a plain loop the compiler
+//                         vectorizes at the baseline flags
 //   L2  determinism-random  rand()/srand()/std::random_device in src/
 //                           outside rt (seeded PRNGs live in common/random.h)
 //       determinism-clock   wall-clock (system_clock, time(), clock(),
