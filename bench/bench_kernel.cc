@@ -4,11 +4,14 @@
 // per step from a global operator-new tally, the kernel's branch-free
 // benefit reduction vs the branchy serial loop ("simd" in the JSON),
 // F(I*) of an advise-wide selection vs the naive query-by-index loop
-// ("workload_cost"), and the QueryMasks allocation contract.
+// ("workload_cost"), the what-if miss path on an advise-paper input
+// ("whatif_miss": time and allocations per backend miss, allocations per
+// Recommend), and the QueryMasks allocation contract.
 //
-// Emits `bench_kernel.json` (sidecar, next to the other bench CSVs) and
-// `BENCH_kernel.json` (same document; run the binary from the repo root
-// to refresh the committed copy) with p50/p95 per-step times.
+// Emits `bench_kernel.json` (sidecar, next to the other bench CSVs) with
+// p50/p95 per-step times. The committed repo-root `BENCH_kernel.json`
+// holds two such documents, a parent's run and a change's, under
+// "parent" and "change", with the machine they ran on.
 
 #include <algorithm>
 #include <atomic>
@@ -103,9 +106,10 @@ struct LookupResult {
 };
 
 /// Warm-cache cost resolution: the same (query, index) pairs priced
-/// through the sharded hash cache (key canonicalization + Index hashing)
-/// and through the dense IndexId-slot table. Width-1 and width-2 keys,
-/// the mix an H6 append round produces.
+/// through the sharded hash cache (key canonicalization, an arena lookup
+/// of the canonical tuple, a 64-bit key) and through the dense
+/// IndexId-slot table. Width-1 and width-2 keys, the mix an H6 append
+/// round produces.
 LookupResult LookupMicrobench(costmodel::WhatIfEngine& engine,
                               const workload::Workload& w,
                               uint64_t target_lookups) {
@@ -366,6 +370,128 @@ WorkloadCostResult WorkloadCostMicrobench() {
   return result;
 }
 
+// ------------------------------------------------- what-if miss path
+
+struct WhatIfMissResult {
+  size_t queries = 0;
+  size_t attributes = 0;
+  uint64_t steps = 0;             ///< H6 steps of one Recommend
+  uint64_t whatif_calls = 0;      ///< backend calls of one Recommend
+  double cost_ratio = 0.0;        ///< cost_after / cost_before
+  uint64_t recommend_allocs = 0;  ///< global allocations in one Recommend
+  double recommend_ms = 0.0;      ///< median
+  uint64_t misses = 0;            ///< backend calls of the miss sweep
+  double miss_ns = 0.0;           ///< per miss, median sweep
+  double allocs_per_miss = 0.0;
+};
+
+/// The advise-paper request shape (T = 10, N_t = 50, Q_t = 100, t * 1M
+/// rows, generator seed 1000, w = 0.2) with observability off, as
+/// bench_e2e runs it. Each Recommend gets a fresh engine over one
+/// CostModel, after one unmeasured warm-up; the allocation count is one
+/// Recommend's and must not vary between them. The miss sweep prices, on
+/// a fresh engine each time, every query against each of its attributes
+/// and against each adjacent pair of them in descending order (an H6
+/// append's shape: canonicalized by a sort), all through the dense API —
+/// every lookup a distinct canonical key, so every one is a backend miss.
+WhatIfMissResult WhatIfMissMicrobench() {
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(false);
+  workload::ScalableWorkloadParams params;
+  params.num_tables = 10;
+  params.attributes_per_table = 50;
+  params.queries_per_table = 100;
+  params.seed = 1000;
+  const workload::Workload w = workload::GenerateScalableWorkload(params);
+  const costmodel::CostModel model(&w);
+  costmodel::ModelBackend backend(&model);
+  advisor::AdvisorOptions options;
+  options.budget_fraction = 0.2;
+  options.threads = 1;
+
+  WhatIfMissResult result;
+  result.queries = w.num_queries();
+  result.attributes = w.num_attributes();
+  const int reps = FullMode() ? 15 : 5;
+  std::vector<double> recommend_ms;
+  for (int rep = 0; rep <= reps; ++rep) {
+    costmodel::WhatIfEngine engine(&w, &backend);
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const double start = NowSeconds();
+    const auto rec = advisor::Recommend(engine, options);
+    const double elapsed = NowSeconds() - start;
+    const uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    if (!rec.ok() || rec->selection.empty()) {
+      std::fprintf(stderr, "bench_kernel: advise-paper Recommend failed\n");
+      std::exit(1);
+    }
+    if (rep == 0) continue;  // warm-up: first-use registrations
+    recommend_ms.push_back(elapsed * 1e3);
+    if (rep == 1) {
+      result.steps = rec->trace.size();
+      result.whatif_calls = engine.stats().calls;
+      result.cost_ratio = rec->cost_after / rec->cost_before;
+      result.recommend_allocs = allocs;
+    } else if (allocs != result.recommend_allocs) {
+      std::fprintf(stderr,
+                   "bench_kernel: Recommend allocations vary between fresh "
+                   "engines (%llu vs %llu)\n",
+                   static_cast<unsigned long long>(allocs),
+                   static_cast<unsigned long long>(result.recommend_allocs));
+      std::exit(1);
+    }
+  }
+  result.recommend_ms = Percentile(recommend_ms, 0.5);
+
+  std::vector<double> miss_ns;
+  for (int rep = 0; rep < reps; ++rep) {
+    costmodel::WhatIfEngine engine(&w, &backend);
+    struct Lookup {
+      workload::QueryId j;
+      kernel::IndexId id;
+    };
+    std::vector<Lookup> lookups;
+    for (workload::QueryId j = 0; j < w.num_queries(); ++j) {
+      const auto& attrs = w.query(j).attributes;
+      for (size_t u = 0; u < attrs.size(); ++u) {
+        const kernel::IndexId single =
+            engine.InternIndex(costmodel::Index(attrs[u]));
+        lookups.push_back({j, single});
+        if (u > 0) {
+          lookups.push_back(
+              {j, engine.arena().InternAppend(single, attrs[u - 1])});
+        }
+      }
+    }
+    double sink = 0.0;
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const double start = NowSeconds();
+    for (const Lookup& l : lookups) {
+      sink += engine.CostWithIndexDenseSlow(l.j, l.id);
+    }
+    const double elapsed = NowSeconds() - start;
+    const uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    if (sink == -1.0) std::printf("unreachable\n");
+    result.misses = engine.stats().calls;
+    if (result.misses != lookups.size()) {
+      std::fprintf(stderr,
+                   "bench_kernel: miss sweep made %llu backend calls for "
+                   "%zu distinct keys\n",
+                   static_cast<unsigned long long>(result.misses),
+                   lookups.size());
+      std::exit(1);
+    }
+    miss_ns.push_back(elapsed * 1e9 / static_cast<double>(result.misses));
+    result.allocs_per_miss =
+        static_cast<double>(allocs) / static_cast<double>(result.misses);
+  }
+  result.miss_ns = Percentile(miss_ns, 0.5);
+  obs::SetEnabled(obs_was_enabled);
+  return result;
+}
+
 // ------------------------------------- QueryMasks allocation accounting
 
 /// QueryMasks construction is allocation-lean by contract (kernel.h): a
@@ -469,6 +595,7 @@ std::string JsonDocument(const workload::Workload& w, double budget_w,
                          const LookupResult& lookup, const H6Stats& h6,
                          const SimdResult& simd,
                          const WorkloadCostResult& fstar,
+                         const WhatIfMissResult& miss,
                          const MaskAllocResult& mask_allocs) {
   const double steps_per_rep =
       h6.step_ms.empty() ? 0.0 : static_cast<double>(h6.step_ms.size());
@@ -534,6 +661,21 @@ std::string JsonDocument(const workload::Workload& w, double budget_w,
       fstar.naive_ms,
       fstar.fast_ms > 0.0 ? fstar.naive_ms / fstar.fast_ms : 0.0,
       fstar.one_fast_ms, fstar.one_naive_ms);
+  out += buf;
+  std::snprintf(
+      buf, sizeof buf,
+      "  \"whatif_miss\": {\"tables\": 10, \"attributes\": %zu, "
+      "\"queries\": %zu, \"budget_w\": 0.20, \"steps\": %llu, "
+      "\"whatif_calls\": %llu, \"cost_ratio\": %.17g, "
+      "\"recommend_allocs\": %llu, \"recommend_ms\": %.3f, "
+      "\"misses\": %llu, \"miss_ns\": %.1f, "
+      "\"allocs_per_miss\": %.2f},\n",
+      miss.attributes, miss.queries,
+      static_cast<unsigned long long>(miss.steps),
+      static_cast<unsigned long long>(miss.whatif_calls), miss.cost_ratio,
+      static_cast<unsigned long long>(miss.recommend_allocs),
+      miss.recommend_ms, static_cast<unsigned long long>(miss.misses),
+      miss.miss_ns, miss.allocs_per_miss);
   out += buf;
   std::snprintf(
       buf, sizeof buf,
@@ -629,6 +771,18 @@ void Run() {
       fstar.tables, fstar.queries, fstar.indexes, fstar.fast_ms,
       fstar.naive_ms, fstar_speedup, fstar.one_fast_ms, fstar.one_naive_ms);
 
+  // The what-if miss path on an advise-paper input.
+  const WhatIfMissResult miss = WhatIfMissMicrobench();
+  std::printf(
+      "what-if misses on advise-paper (%zu queries, w=0.20): Recommend "
+      "%.3f ms, %llu steps, %llu what-if calls, %llu allocations; miss "
+      "sweep %.1f ns and %.2f allocations per miss (%llu misses)\n",
+      miss.queries, miss.recommend_ms,
+      static_cast<unsigned long long>(miss.steps),
+      static_cast<unsigned long long>(miss.whatif_calls),
+      static_cast<unsigned long long>(miss.recommend_allocs), miss.miss_ns,
+      miss.allocs_per_miss, static_cast<unsigned long long>(miss.misses));
+
   // QueryMasks allocation contract: fixed reservation count, independent
   // of workload size.
   const MaskAllocResult mask_allocs = QueryMasksAllocMicrobench();
@@ -668,9 +822,8 @@ void Run() {
   }
 
   const std::string json =
-      JsonDocument(w, budget_w, lookup, h6, simd, fstar, mask_allocs);
+      JsonDocument(w, budget_w, lookup, h6, simd, fstar, miss, mask_allocs);
   WriteJson("bench_kernel.json", json);
-  WriteJson("BENCH_kernel.json", json);
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 //       a_i * n * c + 4 * n * c * s_i
 //     after which c <- c * s_i. Unindexed attributes are scanned in
 //     ascending-selectivity order (most selective first), per Appendix B(i)5.
+//     That order is fixed per query, so the model compiles it once at
+//     construction and every cost walks it, skipping covered attributes.
 //   * Index memory (Appendix B(ii), verbatim):
 //       p_k = ceil(ceil(log2 n) * n / 8) + sum_{i in k} a_i * n.
 //   * Budget A(w) = w * sum over all single-attribute indexes of p_{i}
@@ -25,6 +27,7 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "costmodel/index.h"
 #include "workload/workload.h"
 
@@ -45,8 +48,12 @@ struct CostModelParams {
 // maintenance term is modular in the selection, so every solver handles it
 // exactly (see mip::Problem::candidate_penalty).
 
-/// Analytic cost model over a fixed workload. Stateless and cheap; all
-/// methods are const and thread-compatible.
+/// Analytic cost model over a fixed workload. Construction compiles the
+/// workload into flat per-query tables (scan order, f_j(0)) and a
+/// per-attribute selectivity table in one pass over the queries; after
+/// that the model is immutable, and all methods are const and
+/// thread-compatible. The workload's structure (attributes, queries) must
+/// not change while the model lives; frequencies may.
 class CostModel {
  public:
   explicit CostModel(const workload::Workload* workload,
@@ -67,8 +74,12 @@ class CostModel {
 
   // -- Query costs ------------------------------------------------------------
 
-  /// f_j(0): cost of query j with no index (pure sequential scans).
-  double UnindexedCost(QueryId j) const;
+  /// f_j(0): cost of query j with no index (pure sequential scans);
+  /// compiled at construction.
+  double UnindexedCost(QueryId j) const {
+    IDXSEL_DCHECK(j < base_cost_.size());
+    return base_cost_[j];
+  }
 
   /// f_j(k): cost of query j when exactly index k may be used (plus
   /// sequential scans for the uncovered attributes). If k is not applicable
@@ -98,10 +109,13 @@ class CostModel {
   double MaintenanceCost(QueryId j, const Index& k) const;
 
  private:
-  /// Cost of sequentially scanning `attrs` (ascending selectivity) starting
-  /// from surviving-fraction `c` on a table with `rows` rows.
-  double SequentialScanCost(const std::vector<AttributeId>& attrs, double c,
-                            double rows) const;
+  /// Sum of the sequential-scan terms over q_j's scan order, starting
+  /// from surviving fraction `c` on a table with `rows` rows; attributes
+  /// for which skip(a) holds are not scanned. The terms are summed on
+  /// their own, from 0, so a caller adds the sum to a probe cost exactly
+  /// as it would add one scan's total.
+  template <typename Skip>
+  double ScanCost(QueryId j, double c, double rows, Skip&& skip) const;
 
   /// Index-probe cost of k with coverable prefix length `prefix_len` on a
   /// table with `rows` rows, given surviving fraction `c`; also returns the
@@ -112,6 +126,15 @@ class CostModel {
   const workload::Workload* workload_;
   CostModelParams params_;
   double total_single_attr_memory_;
+  /// s_i = 1/d_i per attribute.
+  std::vector<double> selectivity_;
+  /// Every query's attributes in scan order — ascending s_i, then id —
+  /// packed back to back; q_j's run starts at scan_begin_[j] and has
+  /// |q_j| entries.
+  std::vector<AttributeId> scan_order_;
+  std::vector<size_t> scan_begin_;
+  /// f_j(0) per query.
+  std::vector<double> base_cost_;
 };
 
 }  // namespace idxsel::costmodel

@@ -148,22 +148,33 @@ bool WhatIfEngine::Applicable(QueryId j, const Index& k) const {
                             k.leading());
 }
 
-Index WhatIfEngine::CanonicalCostIndex(QueryId j, const Index& k) const {
-  IDXSEL_DCHECK(Applicable(j, k));
+uint32_t WhatIfEngine::CanonicalPrefix(QueryId j, const AttributeId* attrs,
+                                       uint32_t width,
+                                       AttributeId* buf) const {
   // f_j(k) only depends on the coverable prefix as a *set*; normalize so
   // equivalent what-if calls hit the cache (INUM-style reuse).
   const auto& q_attrs = workload_->query(j).attributes;
-  const size_t len = k.CoverablePrefixLength(q_attrs);
-  IDXSEL_DCHECK(len >= 1);
-  std::vector<workload::AttributeId> prefix(
-      k.attributes().begin(), k.attributes().begin() + static_cast<long>(len));
-  std::sort(prefix.begin(), prefix.end());
-  return Index(std::move(prefix));
+  uint32_t len = 0;
+  while (len < width &&
+         std::binary_search(q_attrs.begin(), q_attrs.end(), attrs[len])) {
+    ++len;
+  }
+  IDXSEL_CHECK_LE(len, kernel::IndexArena::kMaxWidth);
+  std::copy(attrs, attrs + len, buf);
+  std::sort(buf, buf + len);
+  return len;
 }
 
 bool WhatIfEngine::PeekCachedCost(QueryId j, const Index& k,
                                   double* out) const {
-  return cost_cache_.Get(Key{j, CanonicalCostIndex(j, k)}, out);
+  IDXSEL_DCHECK(Applicable(j, k));
+  AttributeId buf[kernel::IndexArena::kMaxWidth];
+  const uint32_t len =
+      CanonicalPrefix(j, k.attributes().data(),
+                      static_cast<uint32_t>(k.width()), buf);
+  const kernel::IndexId canonical = dense_->arena.Find(buf, len);
+  if (canonical == kernel::kInvalidIndexId) return false;
+  return cost_cache_.Get(CostCacheKey(j, canonical), out);
 }
 
 bool WhatIfEngine::PeekCachedMemory(const Index& k, double* out) const {
@@ -176,24 +187,34 @@ double WhatIfEngine::CostWithIndex(QueryId j, const Index& k) {
     obs_skipped_->Add();
     return BaseCost(j);
   }
-  Key key{j, CanonicalCostIndex(j, k)};
+  return TupleCost(j, k.attributes().data(),
+                   static_cast<uint32_t>(k.width()));
+}
+
+double WhatIfEngine::TupleCost(QueryId j, const AttributeId* attrs,
+                               uint32_t width) {
+  AttributeId buf[kernel::IndexArena::kMaxWidth];
+  const uint32_t len = CanonicalPrefix(j, attrs, width, buf);
+  IDXSEL_DCHECK(len >= 1);
+  const kernel::IndexId canonical = dense_->arena.Intern(buf, len);
   // The compute runs under the key's shard lock: exactly one backend call
   // per distinct key even when parallel strategies race for it. Lock
   // order is cost-shard -> base-stripe (via the sanitize fallback); no
   // path acquires them in the other direction.
-  auto [cost, hit] = cost_cache_.GetOrCompute(key, [&] {
+  auto [cost, hit] = cost_cache_.GetOrCompute(CostCacheKey(j, canonical), [&] {
+    // Ask the backend about the *canonical* index, not k: the cached
+    // value must be a pure function of the key. f_j is mathematically
+    // equal on every index sharing the key (same coverable prefix set),
+    // but the backend may round the two computations differently in the
+    // last ulp — and racing strategies reach the same key through
+    // different k's, so computing with k would make the cached value
+    // depend on who got here first (CostWithConfig already computes with
+    // its canonical key for the same reason).
+    const Index canonical_index(std::vector<AttributeId>(buf, buf + len));
     double c;
     {
       BackendCallTimer timer(obs_latency_);
-      // Ask the backend about the *canonical* index, not k: the cached
-      // value must be a pure function of the key. f_j is mathematically
-      // equal on every index sharing the key (same coverable prefix
-      // set), but the backend may round the two computations differently
-      // in the last ulp — and racing strategies reach the same key
-      // through different k's, so computing with k would make the cached
-      // value depend on who got here first (CostWithConfig already
-      // computes with its canonical key for the same reason).
-      c = backend_->CostWithIndex(j, key.index);
+      c = backend_->CostWithIndex(j, canonical_index);
     }
     // Garbage f_j(k) falls back to f_j(0): the index looks useless for the
     // query, never harmful and never spuriously beneficial. (Guarded so the
@@ -275,8 +296,11 @@ double WhatIfEngine::CostWithIndexDense(QueryId j, kernel::IndexId id,
     return cached;
   }
   obs_kernel_fallback_->Add();
-  const double cost = CostWithIndex(j, MaterializeIndex(id));
-  const auto& posting = workload_->queries_with(dense_->arena.leading(id));
+  // The keyed path's answer, canonicalized straight from the arena tuple;
+  // the slot is j's in l(k)'s posting list, so k is applicable.
+  const kernel::IndexArena& arena = dense_->arena;
+  const double cost = TupleCost(j, arena.attrs(id), arena.width(id));
+  const auto& posting = workload_->queries_with(arena.leading(id));
   IDXSEL_DCHECK(slot < posting.size() && posting[slot] == j);
   dense_->costs.Put(id, slot, static_cast<uint32_t>(posting.size()), cost);
   return cost;

@@ -112,6 +112,21 @@ struct WhatIfStats {
   uint64_t sanitized = 0;
 };
 
+/// The key the cost cache files f_j(k) under: query j in the high 32 bits,
+/// and in the low 32 the arena id of the canonical tuple — q_j's coverable
+/// prefix of k, sorted (WhatIfEngine). One word, so a lookup hashes and
+/// compares integers instead of attribute vectors.
+inline uint64_t CostCacheKey(QueryId j, kernel::IndexId canonical) {
+  return (uint64_t{j} << 32) | canonical;
+}
+
+/// Hash of a CostCacheKey. SplitMix64 spreads sequential queries and ids
+/// over the low bits (unordered_map buckets) and the high bits
+/// (exec::ShardedMap's shard choice) alike.
+struct CostCacheKeyHash {
+  size_t operator()(uint64_t key) const { return SplitMix64(key); }
+};
+
 /// Caching, call-counting, *validating* facade over a WhatIfBackend.
 ///
 /// Inapplicable (query, index) pairs are answered with f_j(0) without
@@ -129,10 +144,13 @@ struct WhatIfStats {
 /// Cache keys are canonicalized to (query, coverable-prefix-attribute-set):
 /// the cost of q_j under k only depends on the prefix of k the query can
 /// exploit, and not on the order within that prefix. Recognizing equivalent
-/// what-if calls this way is the INUM-style reuse the paper recommends. The
-/// dense id-addressed tables (idxsel::kernel) sit in front of these keyed
-/// caches and rely on the same invariant: a dense cost row is inherited
-/// across an append for every query the extension cannot exploit.
+/// what-if calls this way is the INUM-style reuse the paper recommends.
+/// The canonical tuple is staged on the stack and interned in the engine's
+/// arena, so the key is the 64-bit CostCacheKey; an Index is built only
+/// for the backend call a miss makes. The dense id-addressed tables
+/// (idxsel::kernel) sit in front of these keyed caches and rely on the
+/// same invariant: a dense cost row is inherited across an append for
+/// every query the extension cannot exploit.
 ///
 /// Concurrency: every method is safe to call from any number of threads.
 /// The caches are exec::ShardedMap instances (per-shard mutex, shard
@@ -198,13 +216,10 @@ class WhatIfEngine {
   // Read-only peeks into the caches: never compute, never touch stats, so
   // an audit pass cannot perturb the call counts it runs beside.
 
-  /// The canonical cache key CostWithIndex files f_j(k) under: the
-  /// coverable-prefix attribute set of k for q_j, sorted. Requires
-  /// Applicable(j, k).
-  Index CanonicalCostIndex(QueryId j, const Index& k) const;
-
-  /// True iff the hashed cost cache holds an entry for
-  /// (j, CanonicalCostIndex(j, k)); writes the cached value to *out.
+  /// True iff the hashed cost cache holds f_j(k) under its canonical key
+  /// (the coverable-prefix attribute set of k for q_j, sorted); writes the
+  /// cached value to *out. Requires Applicable(j, k). A canonical tuple
+  /// the arena never interned is a miss, and the arena is left as it was.
   bool PeekCachedCost(QueryId j, const Index& k, double* out) const;
 
   /// True iff the hashed memory cache holds p_k; writes it to *out.
@@ -350,22 +365,15 @@ class WhatIfEngine {
   /// the health message.
   double Sanitize(double value, double fallback, const char* what);
 
-  struct Key {
-    QueryId query;
-    Index index;
-    bool operator==(const Key& o) const {
-      return query == o.query && index == o.index;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      // SplitMix64-mixed combination (common/hash.h): the previous
-      // `index.Hash() * 1000003 + query` chaining left sequential query
-      // ids clustered in the low bits, which both unordered_map bucketing
-      // and shard selection consume.
-      return HashCombine(SplitMix64(k.query), k.index.Hash());
-    }
-  };
+  /// Stages q_j's coverable prefix of the tuple attrs[0..width) in `buf`
+  /// (capacity kernel::IndexArena::kMaxWidth), sorted — the canonical
+  /// tuple f_j is a function of — and returns its length.
+  uint32_t CanonicalPrefix(QueryId j, const AttributeId* attrs,
+                           uint32_t width, AttributeId* buf) const;
+
+  /// Cached f_j of the tuple attrs[0..width), which must be applicable to
+  /// q_j. A miss makes one backend call.
+  double TupleCost(QueryId j, const AttributeId* attrs, uint32_t width);
 
   struct ConfigKey {
     QueryId query;
@@ -421,7 +429,7 @@ class WhatIfEngine {
   // guarding of base_cost_ slots is inexpressible in the annotations
   std::array<common::Mutex, kBaseLockStripes> base_mu_;
 
-  exec::ShardedMap<Key, double, KeyHash> cost_cache_;
+  exec::ShardedMap<uint64_t, double, CostCacheKeyHash> cost_cache_;
   exec::ShardedMap<ConfigKey, double, ConfigKeyHash> config_cost_cache_;
   exec::ShardedMap<Index, double, IndexHash> memory_cache_;
   exec::ShardedMap<Index, double, IndexHash> maintenance_cache_;

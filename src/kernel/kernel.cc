@@ -18,9 +18,9 @@ IndexArena::~IndexArena() {
 const AttributeId* IndexArena::PoolCopy(const AttributeId* attrs,
                                         uint32_t width) {
   IDXSEL_DCHECK(width > kInlineAttrs);
-  IDXSEL_CHECK_LE(width, kPoolChunk);
-  if (pool_.empty() || pool_used_ + width > kPoolChunk) {
-    pool_.push_back(std::make_unique<AttributeId[]>(kPoolChunk));
+  IDXSEL_CHECK_LE(width, kMaxWidth);
+  if (pool_.empty() || pool_used_ + width > kMaxWidth) {
+    pool_.push_back(std::make_unique<AttributeId[]>(kMaxWidth));
     pool_used_ = 0;
   }
   AttributeId* dst = pool_.back().get() + pool_used_;
@@ -29,17 +29,32 @@ const AttributeId* IndexArena::PoolCopy(const AttributeId* attrs,
   return dst;
 }
 
-IndexId IndexArena::Intern(const AttributeId* attrs, uint32_t width) {
-  IDXSEL_DCHECK(width > 0);
-  const uint64_t h = TupleHash(attrs, width);
-  common::MutexLock lock(&mu_);
-  auto [it, end] = interned_.equal_range(h);
+IndexId IndexArena::FindLocked(const AttributeId* attrs, uint32_t width,
+                               uint64_t hash) const {
+  auto [it, end] = interned_.equal_range(hash);
   for (; it != end; ++it) {
     const Entry& e = entry(it->second);
     if (e.width == width &&
         std::memcmp(e.attrs, attrs, width * sizeof(AttributeId)) == 0) {
       return it->second;
     }
+  }
+  return kInvalidIndexId;
+}
+
+IndexId IndexArena::Find(const AttributeId* attrs, uint32_t width) const {
+  const uint64_t h = TupleHash(attrs, width);
+  common::MutexLock lock(&mu_);
+  return FindLocked(attrs, width, h);
+}
+
+IndexId IndexArena::Intern(const AttributeId* attrs, uint32_t width) {
+  IDXSEL_DCHECK(width > 0);
+  const uint64_t h = TupleHash(attrs, width);
+  common::MutexLock lock(&mu_);
+  if (const IndexId found = FindLocked(attrs, width, h);
+      found != kInvalidIndexId) {
+    return found;
   }
 
   const size_t n = count_.load(std::memory_order_relaxed);
@@ -84,8 +99,8 @@ IndexId IndexArena::Intern(const AttributeId* attrs, uint32_t width) {
 IndexId IndexArena::InternAppend(IndexId base, AttributeId extra) {
   const Entry& b = entry(base);
   IDXSEL_DCHECK(!Contains(base, extra));
-  AttributeId buf[kPoolChunk];
-  IDXSEL_CHECK_LT(b.width, kPoolChunk);
+  AttributeId buf[kMaxWidth];
+  IDXSEL_CHECK_LT(b.width, kMaxWidth);
   std::memcpy(buf, b.attrs, b.width * sizeof(AttributeId));
   buf[b.width] = extra;
   return Intern(buf, b.width + 1);

@@ -5,7 +5,9 @@
 // cheap. Three ingredients, shared by the selector, the heuristics, and
 // the MIP problem builder through WhatIfEngine's dense fast path:
 //
-//   * IndexArena — interns ordered attribute tuples into dense IndexIds.
+//   * IndexArena — interns ordered attribute tuples into dense IndexIds
+//     (the selectors' indexes, and the canonical tuples WhatIfEngine keys
+//     its cost cache by).
 //     Tuples live in one contiguous pool (small-buffer: tuples of up to
 //     kInlineAttrs attributes are stored inline in their arena entry), and
 //     every entry precomputes a 64-bit attribute mask, so the hot-path
@@ -234,6 +236,9 @@ class BlockDirectory {
 class IndexArena {
  public:
   static constexpr uint32_t kInlineAttrs = 4;
+  /// Widest tuple the arena stores, and the size of one overflow-pool
+  /// chunk; callers may stage a tuple in a stack buffer this wide.
+  static constexpr uint32_t kMaxWidth = 4096;
 
   IndexArena() = default;
   ~IndexArena();
@@ -247,6 +252,11 @@ class IndexArena {
   /// Interns `base`'s tuple extended by `extra` (the H6 morphing step
   /// k ⊕ a) without materializing an intermediate tuple. Thread-safe.
   IndexId InternAppend(IndexId base, AttributeId extra);
+
+  /// The id of the ordered tuple `attrs[0..width)`, or kInvalidIndexId
+  /// when it was never interned. Read-only: never assigns an id.
+  /// Thread-safe.
+  IndexId Find(const AttributeId* attrs, uint32_t width) const;
 
   /// Number of interned tuples (monotone; a momentary snapshot).
   size_t size() const { return count_.load(std::memory_order_acquire); }
@@ -286,12 +296,15 @@ class IndexArena {
   static constexpr size_t kBlockSize = size_t{1} << kBlockShift;  // 1024
   static constexpr size_t kBlockMask = kBlockSize - 1;
   static constexpr size_t kMaxBlocks = 1 << 14;  // 16M ids
-  static constexpr size_t kPoolChunk = 4096;     // attrs per overflow chunk
 
   const Entry& entry(IndexId id) const {
     IDXSEL_DCHECK(id < count_.load(std::memory_order_acquire));
     return blocks_.Get(id >> kBlockShift)[id & kBlockMask];
   }
+
+  /// Find() for a caller that holds mu_ and has hashed the tuple.
+  IndexId FindLocked(const AttributeId* attrs, uint32_t width,
+                     uint64_t hash) const IDXSEL_REQUIRES(mu_);
 
   /// Copies `attrs` into the contiguous overflow pool; returns the stable
   /// address.

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/random.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/index.h"
+#include "reference/reference_cost_model.h"
 #include "workload/scalable_generator.h"
 #include "workload/workload.h"
 
@@ -210,6 +216,119 @@ TEST_P(CostMonotonicityTest, AddingIndexNeverIncreasesCost) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostMonotonicityTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// ------------------------------------------------- oracle: the old model
+
+// The compiled model against the copy-and-sort model it replaced
+// (tests/reference/reference_cost_model.h), bit for bit. reference_test
+// cannot see a wrong scan order: its reference H6 prices through the same
+// engine and backend. The workloads are built to hit every branch the
+// compiled tables take:
+//   * distinct counts drawn from a short list, so equal selectivities are
+//     common and the scan order must break ties on the id — also on a
+//     40-attribute table whose queries are wider than 16, where std::sort
+//     partitions instead of insertion-sorting and so reorders ties;
+//   * write templates (base cost only, every index inapplicable);
+//   * indexes of width 1-6, past the arena's 4 inline attributes, as
+//     random permutations of a table's attributes: prefixes that cover the
+//     whole query, prefixes that stop early, and leading attributes the
+//     query lacks (inapplicable);
+//   * every query priced against every table's indexes (cross-table).
+class CostModelOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST_P(CostModelOracleTest, MatchesTheCopyAndSortModelBitForBit) {
+  Rng rng(GetParam());
+  static constexpr uint64_t kDistinct[] = {1, 2, 4, 4, 16, 16, 1000, 1 << 20};
+  static constexpr uint32_t kValueSize[] = {1, 2, 4, 8};
+  workload::Workload w;
+  std::vector<std::vector<AttributeId>> table_attrs;
+  for (const char* name : {"t0", "t1", "t2", "wide"}) {
+    const TableId table =
+        w.AddTable(name, static_cast<uint64_t>(rng.UniformInt(1, 1 << 24)));
+    std::vector<AttributeId> attrs;
+    const int64_t width = table == 3 ? 40 : rng.UniformInt(6, 9);
+    for (int64_t i = 0; i < width; ++i) {
+      attrs.push_back(w.AddAttribute(
+          table, kDistinct[rng.UniformInt(0, 7)],
+          kValueSize[rng.UniformInt(0, 3)]));
+    }
+    table_attrs.push_back(attrs);
+  }
+  const auto shuffled = [&](std::vector<AttributeId> attrs) {
+    for (size_t u = attrs.size(); u > 1; --u) {
+      std::swap(attrs[u - 1],
+                attrs[static_cast<size_t>(
+                    rng.UniformInt(0, static_cast<int64_t>(u) - 1))]);
+    }
+    return attrs;
+  };
+  for (TableId t = 0; t < table_attrs.size(); ++t) {
+    for (int q = 0; q < 12; ++q) {
+      std::vector<AttributeId> attrs = shuffled(table_attrs[t]);
+      attrs.resize(static_cast<size_t>(
+          rng.UniformInt(t == 3 ? 17 : 1, static_cast<int64_t>(attrs.size()))));
+      const auto kind = rng.UniformInt(0, 4) == 0 ? workload::QueryKind::kWrite
+                                                  : workload::QueryKind::kRead;
+      ASSERT_TRUE(w.AddQuery(t, attrs, rng.Uniform(0.5, 8.0), kind).ok());
+    }
+  }
+  w.Finalize();
+
+  std::vector<Index> indexes;
+  for (TableId t = 0; t < table_attrs.size(); ++t) {
+    // Every query's own attributes, leading with each of them in turn:
+    // prefixes that cover the whole query.
+    for (const workload::Query& q : w.queries()) {
+      if (q.table != t) continue;
+      std::vector<AttributeId> attrs = shuffled(q.attributes);
+      attrs.resize(std::min<size_t>(attrs.size(), 6));
+      indexes.emplace_back(attrs);
+    }
+    for (int k = 0; k < 24; ++k) {
+      std::vector<AttributeId> attrs = shuffled(table_attrs[t]);
+      attrs.resize(static_cast<size_t>(rng.UniformInt(1, 6)));
+      indexes.emplace_back(attrs);
+    }
+  }
+  std::vector<IndexConfig> configs(6);
+  for (IndexConfig& config : configs) {
+    const int64_t n = rng.UniformInt(1, 8);
+    for (int64_t u = 0; u < n; ++u) {
+      config.Insert(indexes[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(indexes.size()) - 1))]);
+    }
+  }
+
+  const CostModel model(&w);
+  const reference::ReferenceCostModel oracle(&w);
+  size_t widths_seen[7] = {};
+  for (workload::QueryId j = 0; j < w.num_queries(); ++j) {
+    ASSERT_EQ(Bits(model.UnindexedCost(j)), Bits(oracle.UnindexedCost(j)))
+        << "seed=" << GetParam() << " j=" << j;
+    for (const Index& k : indexes) {
+      ++widths_seen[k.width()];
+      ASSERT_EQ(Bits(model.CostWithIndex(j, k)),
+                Bits(oracle.CostWithIndex(j, k)))
+          << "seed=" << GetParam() << " j=" << j << " k=" << k.ToString();
+    }
+    for (const IndexConfig& config : configs) {
+      ASSERT_EQ(Bits(model.CostOneIndex(j, config)),
+                Bits(oracle.CostOneIndex(j, config)))
+          << "seed=" << GetParam() << " j=" << j << " " << config.ToString();
+      ASSERT_EQ(Bits(model.CostMultiIndex(j, config)),
+                Bits(oracle.CostMultiIndex(j, config)))
+          << "seed=" << GetParam() << " j=" << j << " " << config.ToString();
+    }
+  }
+  for (size_t width = 1; width <= 6; ++width) {
+    EXPECT_GT(widths_seen[width], 0u) << "no index of width " << width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CostModelOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace idxsel::costmodel

@@ -469,6 +469,44 @@ TEST(LintGuardedFieldTest, MutableMemberWithoutAnnotationIsFlagged) {
               AllOf(HasSubstr("mutable"), HasSubstr("IDXSEL_GUARDED_BY")));
 }
 
+TEST(LintGuardedFieldTest, EngineModuleIsChecked) {
+  const auto findings = LintFiles(
+      {Src("engine/measured_cost.h",
+           "class Source {\n"
+           " private:\n"
+           "  mutable unsigned long sink_ = 0;\n"
+           "};\n")},
+      NoOrphan());
+  ASSERT_EQ(Checks(findings), std::vector<std::string>{"guarded-field"});
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_THAT(findings[0].message, HasSubstr("src/engine"));
+}
+
+TEST(LintGuardedFieldTest, MultiLineMutableMemberIsReadToItsSemicolon) {
+  // The unannotated three-line shape is flagged at its first line; the
+  // same member with the annotation on its last line is clean.
+  const auto findings = LintFiles(
+      {Src("engine/measured_cost.h",
+           "class Source {\n"
+           " private:\n"
+           "  mutable std::unordered_map<costmodel::Index, CompositeIndex,\n"
+           "                             costmodel::IndexHash>\n"
+           "      indexes_;\n"
+           "};\n"),
+       Src("engine/guarded.h",
+           "class Guarded {\n"
+           " private:\n"
+           "  mutable common::Mutex mu_;\n"
+           "  mutable std::unordered_map<costmodel::Index, CompositeIndex,\n"
+           "                             costmodel::IndexHash>\n"
+           "      indexes_ IDXSEL_GUARDED_BY(mu_);\n"
+           "};\n")},
+      NoOrphan());
+  ASSERT_EQ(Checks(findings), std::vector<std::string>{"guarded-field"});
+  EXPECT_EQ(findings[0].path, "repo/src/engine/measured_cost.h");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
 TEST(LintGuardedFieldTest, UnguardedMutexMemberIsFlagged) {
   const auto findings = LintFiles(
       {Src("exec/pool.h",

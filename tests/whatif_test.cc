@@ -101,6 +101,143 @@ TEST_F(WhatIfFixture, CanonicalizationSharesEquivalentCalls) {
   FAIL() << "no multi-attribute query in the generated workload";
 }
 
+// ------------------------------------------------ id-keyed cost cache
+
+/// One table of 8 attributes with distinct selectivities and three reads:
+/// q0 = {0, 1, 2}, q1 = {1, 3}, q2 = {0, 1, 2, 3, 4, 5}.
+struct KeyedCacheSetup {
+  KeyedCacheSetup() {
+    const workload::TableId t = w.AddTable("t", 1 << 20);
+    for (uint64_t i = 0; i < 8; ++i) w.AddAttribute(t, uint64_t{2} << i, 4);
+    EXPECT_TRUE(w.AddQuery(t, {0, 1, 2}, 1.0).ok());
+    EXPECT_TRUE(w.AddQuery(t, {1, 3}, 1.0).ok());
+    EXPECT_TRUE(w.AddQuery(t, {0, 1, 2, 3, 4, 5}, 1.0).ok());
+    w.Finalize();
+    model = std::make_unique<CostModel>(&w);
+    backend = std::make_unique<ModelBackend>(model.get());
+    engine = std::make_unique<WhatIfEngine>(&w, backend.get());
+  }
+
+  workload::Workload w;
+  std::unique_ptr<CostModel> model;
+  std::unique_ptr<ModelBackend> backend;
+  std::unique_ptr<WhatIfEngine> engine;
+};
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(WhatIfKeyedCacheTest, DenseMissThenKeyedPermutationIsAHit) {
+  KeyedCacheSetup s;
+  WhatIfEngine& engine = *s.engine;
+  // (2, 0, 1) covers all of q0; its canonical tuple is (0, 1, 2).
+  const kernel::IndexId id = engine.InternIndex(Index({2, 0, 1}));
+  const double dense = engine.CostWithIndexDenseSlow(0, id);
+  const WhatIfStats after_miss = engine.stats();
+  EXPECT_EQ(after_miss.calls, 1u);
+  EXPECT_EQ(after_miss.cache_hits, 0u);
+
+  const double keyed = engine.CostWithIndex(0, Index({1, 2, 0}));
+  EXPECT_EQ(engine.stats().calls, after_miss.calls)
+      << "a permutation of the covered prefix missed the dense miss's entry";
+  EXPECT_EQ(engine.stats().cache_hits, after_miss.cache_hits + 1);
+  EXPECT_EQ(Bits(keyed), Bits(dense));
+  // The backend was asked about the canonical (sorted) tuple.
+  EXPECT_EQ(Bits(dense), Bits(s.model->CostWithIndex(0, Index({0, 1, 2}))));
+}
+
+TEST(WhatIfKeyedCacheTest, WideIndexWithUnusableTailSharesItsPrefixEntry) {
+  KeyedCacheSetup s;
+  WhatIfEngine& engine = *s.engine;
+  // q1 = {1, 3} can use only (3, 1) of this width-6 index — wider than
+  // the arena's inline tuples; the tail (0, 2, 4, 5) is not in q1.
+  const Index wide({3, 1, 0, 2, 4, 5});
+  ASSERT_GT(wide.width(), kernel::IndexArena::kInlineAttrs);
+  const double prefix = engine.CostWithIndex(1, Index({1, 3}));
+  const uint64_t calls = engine.stats().calls;
+  EXPECT_EQ(calls, 1u);
+
+  const double keyed = engine.CostWithIndex(1, wide);
+  const kernel::IndexId id = engine.InternIndex(wide);
+  const double dense = engine.CostWithIndexDenseSlow(1, id);
+  EXPECT_EQ(engine.stats().calls, calls)
+      << "the wide index did not share its coverable prefix's entry";
+  EXPECT_EQ(Bits(keyed), Bits(prefix));
+  EXPECT_EQ(Bits(dense), Bits(prefix));
+  double peeked = 0.0;
+  ASSERT_TRUE(engine.PeekCachedCost(1, wide, &peeked));
+  EXPECT_EQ(Bits(peeked), Bits(prefix));
+}
+
+TEST(WhatIfKeyedCacheTest, PeekOnAnUnseenKeyLeavesTheArenaAlone) {
+  KeyedCacheSetup s;
+  WhatIfEngine& engine = *s.engine;
+  const double cost = engine.CostWithIndex(0, Index(0));
+  const size_t interned = engine.arena().size();
+  const WhatIfStats stats = engine.stats();
+
+  double out = -1.0;
+  // A canonical tuple, (3, 4, 5), the arena never saw.
+  EXPECT_FALSE(engine.PeekCachedCost(2, Index({5, 4, 3}), &out));
+  EXPECT_EQ(engine.arena().size(), interned);
+  // A tuple the arena knows, (0), but a query it was never priced for.
+  EXPECT_FALSE(engine.PeekCachedCost(2, Index(0), &out));
+  EXPECT_EQ(engine.arena().size(), interned);
+  EXPECT_EQ(out, -1.0);
+
+  ASSERT_TRUE(engine.PeekCachedCost(0, Index(0), &out));
+  EXPECT_EQ(Bits(out), Bits(cost));
+  EXPECT_EQ(engine.arena().size(), interned);
+  EXPECT_EQ(engine.stats().calls, stats.calls);
+  EXPECT_EQ(engine.stats().cache_hits, stats.cache_hits);
+}
+
+TEST_F(WhatIfFixture, ConcurrentDenseAndKeyedLookupsMakeTheSerialCalls) {
+  // Lanes mix the dense API (which interns and canonicalizes from arena
+  // tuples) with the keyed API (which interns canonical tuples) over the
+  // same (query, prefix) keys: every key must still cost exactly one
+  // backend call, and every answer must be the serial run's.
+  const auto lookups = [&](WhatIfEngine& engine, size_t unit,
+                           std::vector<double>* out) {
+    const workload::QueryId j =
+        static_cast<workload::QueryId>(unit % w_.num_queries());
+    const bool dense_first = (unit / w_.num_queries()) % 2 == 0;
+    const auto& attrs = w_.query(j).attributes;
+    for (size_t u = 0; u < attrs.size(); ++u) {
+      Index k(attrs[u]);
+      if (u + 1 < attrs.size()) k = Index({attrs[u + 1], attrs[u]});
+      const bool dense = dense_first == (u % 2 == 0);
+      out->push_back(dense ? engine.CostWithIndexDenseSlow(
+                                 j, engine.InternIndex(k))
+                           : engine.CostWithIndex(j, k));
+    }
+  };
+  const size_t units = 4 * w_.num_queries();
+  std::vector<std::vector<double>> serial_values(units);
+  WhatIfEngine serial(&w_, backend_.get());
+  for (size_t unit = 0; unit < units; ++unit) {
+    lookups(serial, unit, &serial_values[unit]);
+  }
+
+  WhatIfEngine engine(&w_, backend_.get());
+  std::vector<std::vector<double>> values(units);
+  exec::ParallelFor(4, units,
+                    [&](size_t unit) { lookups(engine, unit, &values[unit]); });
+  EXPECT_EQ(engine.stats().calls, serial.stats().calls)
+      << "concurrent lanes must not duplicate backend calls";
+  EXPECT_EQ(engine.stats().cache_hits, serial.stats().cache_hits);
+  for (size_t unit = 0; unit < units; ++unit) {
+    ASSERT_EQ(values[unit].size(), serial_values[unit].size());
+    for (size_t u = 0; u < values[unit].size(); ++u) {
+      EXPECT_EQ(Bits(values[unit][u]), Bits(serial_values[unit][u]))
+          << "unit " << unit << " lookup " << u;
+    }
+  }
+}
+
 TEST_F(WhatIfFixture, WorkloadCostMatchesModel) {
   WhatIfEngine engine(&w_, backend_.get());
   IndexConfig config;
@@ -252,30 +389,32 @@ TEST_F(WhatIfFixture, ReconfigurationIdenticalConfigsAreFree) {
 // ------------------------------------------------------- cache hashing
 
 TEST(WhatIfHashTest, CostKeyHashSpreadsLowAndHighBits) {
-  // The cost-cache key hash is HashCombine(SplitMix64(query), index.Hash())
-  // — the formula that replaced the multiplicative `hash * 1000003 + id`
-  // chain, whose low bits stayed clustered for sequential query ids. Both
-  // bit ends matter now: unordered_map buckets mask the low bits, shard
-  // selection takes the high bits.
+  // The cost cache's key is one word, CostCacheKey: the query in the high
+  // half, the canonical tuple's arena id in the low half. Sequential
+  // queries and sequential ids are the common keys, and both bit ends of
+  // CostCacheKeyHash matter: unordered_map buckets consume the low bits,
+  // exec::ShardedMap's shard choice the high bits.
   constexpr size_t kQueries = 512;
-  constexpr size_t kAttrs = 64;
+  constexpr size_t kIds = 64;
   constexpr size_t kBuckets = 256;
   std::vector<size_t> low(kBuckets, 0);
   std::vector<size_t> high(kBuckets, 0);
-  for (uint64_t j = 0; j < kQueries; ++j) {
-    for (workload::AttributeId i = 0; i < kAttrs; ++i) {
-      const uint64_t h = HashCombine(SplitMix64(j), Index(i).Hash());
+  for (workload::QueryId j = 0; j < kQueries; ++j) {
+    for (kernel::IndexId id = 0; id < kIds; ++id) {
+      const uint64_t h = CostCacheKeyHash{}(CostCacheKey(j, id));
       ++low[h & (kBuckets - 1)];
       ++high[h >> 56];
     }
   }
-  const size_t expected = kQueries * kAttrs / kBuckets;
+  const size_t expected = kQueries * kIds / kBuckets;
   for (size_t b = 0; b < kBuckets; ++b) {
     EXPECT_GT(low[b], expected / 2) << "low-bit bucket " << b;
     EXPECT_LT(low[b], expected * 2) << "low-bit bucket " << b;
     EXPECT_GT(high[b], expected / 2) << "high-bit bucket " << b;
     EXPECT_LT(high[b], expected * 2) << "high-bit bucket " << b;
   }
+  // Distinct (query, id) pairs are distinct keys.
+  EXPECT_NE(CostCacheKey(1, 0), CostCacheKey(0, 1));
 }
 
 TEST(WhatIfHashTest, IndexHashFinalizationSpreadsSequentialAttributes) {
@@ -495,12 +634,6 @@ struct ContractSide {
   std::unique_ptr<RecordingBackend> recorder;
   std::unique_ptr<WhatIfEngine> engine;
 };
-
-uint64_t Bits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
 
 /// Prices `configs` in order on a production side and a naive side, both
 /// cold at the start, and requires the same bits, counters and backend

@@ -1410,8 +1410,8 @@ void CheckLockOrder(Context* ctx) {
 /// ordering, allocation publication), which deserves a written reason.
 void CheckGuardedField(Context* ctx) {
   static const std::set<std::string> kModules = {
-      "exec", "costmodel", "serve", "obs",   "rt",
-      "kernel", "shard",   "mip",   "audit", "common"};
+      "exec",  "costmodel", "serve", "obs",   "rt",     "kernel",
+      "shard", "mip",       "audit", "common", "engine"};
   for (const FileView& f : ctx->files) {
     if (f.is_cmake || f.scope != Scope::kSrc) continue;
     if (EndsWith(f.path, "common/mutex.h") ||
@@ -1444,13 +1444,24 @@ void CheckGuardedField(Context* ctx) {
         while (!arg.empty() && arg.front() == ' ') arg.erase(arg.begin());
         guarded.insert({scopes.context[l], arg});
       }
-      // (a) mutable members in the listed modules.
+      // (a) mutable members in the listed modules. A declaration may wrap
+      // over several lines, so it is read up to its ';'.
       const size_t first = s.find_first_not_of(" \t");
+      std::string decl;
       if (listed && first != std::string::npos &&
-          s.compare(first, 8, "mutable ") == 0 && EndsWith(s, ";") &&
-          s.find("IDXSEL_GUARDED_BY") == std::string::npos &&
-          FindWord(s, "Mutex").empty() && FindWord(s, "CondVar").empty() &&
-          FindWord(s, "atomic").empty()) {
+          s.compare(first, 8, "mutable ") == 0) {
+        decl = s;
+        for (size_t m = l + 1;
+             decl.find(';') == std::string::npos && m < f.code.size(); ++m) {
+          decl += ' ';
+          decl += f.code[m];
+        }
+      }
+      if (decl.find(';') != std::string::npos &&
+          decl.find("IDXSEL_GUARDED_BY") == std::string::npos &&
+          FindWord(decl, "Mutex").empty() &&
+          FindWord(decl, "CondVar").empty() &&
+          FindWord(decl, "atomic").empty()) {
         ctx->Report(f, static_cast<int>(l + 1), "guarded-field",
                     "mutable member without IDXSEL_GUARDED_BY in src/" +
                         f.module +

@@ -36,8 +36,10 @@
 //                          or a nested re-acquisition of the same
 //                          class::member lock is deadlock potential
 //       guarded-field      `mutable` non-atomic members in the
-//                          concurrency modules must carry
-//                          IDXSEL_GUARDED_BY, and every common::Mutex
+//                          concurrency modules (engine included) must
+//                          carry IDXSEL_GUARDED_BY anywhere in their
+//                          declaration, which is read up to its ';'
+//                          across line breaks; and every common::Mutex
 //                          member must guard at least one annotated
 //                          field (or carry a reasoned suppression
 //                          stating what it serializes instead)
